@@ -43,6 +43,8 @@ def _heisenberg_from_args(args) -> HeisenbergParams:
         return HeisenbergParams(int(d["n"]), d.get("gx", 0.0), d.get("gy", 0.0),
                                 d.get("gz", 0.0), d.get("jx", 0.0), d.get("jy", 0.0),
                                 d.get("jz", 0.0))
+    if args.n is None:
+        raise DomainError("heisenberg needs --spec or --n")
     vals = [args.gx, args.gy, args.gz, args.jx, args.jy, args.jz]
     if all(v is None for v in vals):
         return random_heisenberg(args.n, np.random.default_rng(args.seed))
@@ -143,9 +145,9 @@ def cmd_verify(args) -> int:
         circ, expected = _dicke_request_from_args(args)
         if circ.width > VERIFY_MAX_WIDTH:
             raise ResourceGuardError(f"width {circ.width} over verify cap {VERIFY_MAX_WIDTH}")
-        check = assert_state(circ, expected, tol=args.tol or 1e-12)
-        rep = {"ok": check.ok, "max_abs_error": check.max_abs_error,
-               "tolerance": args.tol or 1e-12}
+        tol = 1e-12 if args.tol is None else args.tol
+        check = assert_state(circ, expected, tol=tol)
+        rep = {"ok": check.ok, "max_abs_error": check.max_abs_error, "tolerance": tol}
         print(json.dumps(rep, indent=2))
         _log(f"dicke preparation: max error {check.max_abs_error:.2e}")
         return 0 if check.ok else 2
@@ -154,7 +156,7 @@ def cmd_verify(args) -> int:
     if be.circuit.width > VERIFY_MAX_WIDTH:
         raise ResourceGuardError(
             f"width {be.circuit.width} over verify cap {VERIFY_MAX_WIDTH}")
-    tol = args.tol or 1e-10
+    tol = 1e-10 if args.tol is None else args.tol
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)
     out = {

@@ -29,6 +29,8 @@ class AmplitudeList:
         if len(vec) < 1:
             raise DomainError("need at least one amplitude")
         norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
+        if not math.isfinite(norm):
+            raise DomainError("amplitudes must be finite")
         if norm < 1e-300:
             raise DomainError("amplitude vector has zero norm")
         object.__setattr__(self, "alphas", tuple(a / norm for a in vec))

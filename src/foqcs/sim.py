@@ -1,10 +1,14 @@
 """Dense statevector simulation and block extraction.
 
 Amplitudes are complex128 arrays indexed little-endian (qubit q = bit q).
-Kernels operate in place on an array shaped (2**width,) or (2**width, batch);
-batching is how extract_block runs all system basis inputs in one pass.
+Kernels operate in place on an array shaped (2**width,) or (2**width, batch).
 Composite gates (gamma, cgamma, toffoli, ...) are applied via their exact
 unitaries, so circuits need not be lowered before simulation.
+
+extract_block splits a block encoding at its first and last gate touching the
+system register. The prefix (PR) and the suffix (PL-dagger) act on the
+ancillae alone and run once on 2**sys_start amplitudes; only the middle
+(SELECT) runs at full width, once per system basis column.
 """
 from __future__ import annotations
 
@@ -192,9 +196,9 @@ def gate_unitary(g: Gate) -> np.ndarray:
     raise DomainError(f"no unitary for {k}")
 
 
-def _apply_generic(amps: np.ndarray, g: Gate, width: int) -> None:
-    qubits = g.qubits
-    u = gate_unitary(g)
+def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
+                   width: int) -> None:
+    """Apply a 2^k x 2^k matrix in place, local bit i = qubits[i]."""
     k = len(qubits)
     v, axes = _bit_view(amps, width, qubits)
     subs = [
@@ -252,7 +256,7 @@ def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> None:
     elif k == "cphase":
         _k_diag(flat, log_b, 1 << q[0], 1 << q[1], 1.0 + 0j, np.exp(1j * g.angle))
     else:
-        _apply_generic(amps, g, width)
+        _apply_unitary(amps, gate_unitary(g), g.qubits, width)
 
 
 def _apply_gate_numpy(amps: np.ndarray, g: Gate, width: int) -> None:
@@ -318,7 +322,7 @@ def _apply_gate_numpy(amps: np.ndarray, g: Gate, width: int) -> None:
         s0[...] = s1
         s1[...] = t
     else:
-        _apply_generic(amps, g, width)
+        _apply_unitary(amps, gate_unitary(g), g.qubits, width)
 
 
 def run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -373,9 +377,15 @@ class BlockReport:
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     """Read off <0_anc| U |0_anc> on the system register, column by column.
 
-    All 2^n system basis inputs are simulated as one batch; column b of the
-    block is the ancilla-zero sector of U |0_anc>|b>, and the per-input
-    post-selection probability is that sector's squared norm.
+    The gates are cut at the first (lo) and one past the last (hi) gate that
+    touches a system qubit. Outside [lo, hi) the state factors as
+    (ancilla vector) x |b>, so
+      - the prefix gates[:lo] run once on |0_anc>, giving v;
+      - the suffix S = gates[hi:] runs once, in reverse and
+        conjugate-transposed, on |0_anc>, giving w = S^dagger |0_anc>;
+      - the middle gates[lo:hi] run on v x |b> for each system basis input b,
+        and column b of the block is <w| contracted over the ancillae.
+    The per-input post-selection probability is the squared norm of column b.
     """
     circ = be.circuit
     if circ.width > max_width():
@@ -383,26 +393,26 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     sys_start, n = circ.layout["system"]
     if sys_start + n != circ.width:
         raise DomainError("system register must occupy the top qubits")
+    gates = circ.gates
+    touching = [i for i, g in enumerate(gates) if max(g.qubits) >= sys_start]
+    lo, hi = (touching[0], touching[-1] + 1) if touching else (len(gates), len(gates))
+    v = StateVector.zero(sys_start).amps
+    for g in gates[:lo]:
+        _apply_gate(v, g, sys_start)
+    w = StateVector.zero(sys_start).amps
+    for g in reversed(gates[hi:]):
+        _apply_unitary(w, gate_unitary(g).conj().T, g.qubits, sys_start)
+    w_bra = w.conj()
     dim = 1 << n
-    # Until the first gate touching the system register, the state is a
-    # product (ancilla factor) x |b>, so that prefix runs once on 2^sys_start
-    # amplitudes instead of per column.
-    split = len(circ.gates)
-    for i, g in enumerate(circ.gates):
-        if any(q >= sys_start for q in g.qubits):
-            split = i
-            break
-    anc = np.zeros(1 << sys_start, dtype=complex)
-    anc[0] = 1.0
-    for g in circ.gates[:split]:
-        _apply_gate(anc, g, sys_start)
-    amps = np.zeros((1 << circ.width, dim), dtype=complex)
-    cols = np.arange(dim)
-    amps.reshape(dim, 1 << sys_start, dim)[cols, :, cols] = anc[None, :]
-    for g in circ.gates[split:]:
-        _apply_gate(amps, g, circ.width)
-    anc_zero_rows = cols << sys_start
-    block = amps[anc_zero_rows, :]
+    block = np.empty((dim, dim), dtype=complex)
+    amps = np.empty(1 << circ.width, dtype=complex)
+    rows = amps.reshape(dim, 1 << sys_start)
+    for b in range(dim):
+        amps.fill(0.0)
+        rows[b] = v
+        for g in gates[lo:hi]:
+            _apply_gate(amps, g, circ.width)
+        block[:, b] = rows @ w_bra
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
     return BlockReport(block=block, max_abs_error=err, postselect_probability=probs)
@@ -430,6 +440,7 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
             raise DomainError(f"expected index {idx} out of range")
         ref[idx] = amp
     diff = np.abs(out - ref)
-    bad = np.nonzero(diff > tol)[0]
+    within = diff <= tol  # NaN compares False, so NaN is never within tol; inverted in place
+    bad = np.nonzero(np.logical_not(within, out=within))[0]
     mism = [(int(i), complex(out[i]), complex(ref[i])) for i in bad[:16]]
     return StateCheck(ok=bad.size == 0, max_abs_error=float(diff.max()), mismatches=mism)

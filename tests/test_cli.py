@@ -125,3 +125,35 @@ def test_verify_dicke_unbalanced_flag(capsys):
     code = main(["verify", "dicke", "--kind", "d2ku", "--n", "4", "--k", "2",
                  "--alphas", "[[0.8, 0.0], [0.0, -0.6]]"])
     assert code == 0
+
+
+def test_verify_heisenberg_at_width_cap(capsys):
+    # n=5 is 6 + 3n = 21 qubits, the widest block `verify` accepts
+    code = main(["verify", "heisenberg", "--n", "5", "--seed", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["ok"] and out["max_abs_error"] <= 1e-10
+
+
+def test_verify_dicke_nan_amplitude(capsys):
+    code = main(["verify", "dicke", "--kind", "d1u", "--n", "3",
+                 "--alphas", "[[NaN,0],[1,0],[1,0]]"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_heisenberg_needs_n(capsys):
+    assert main(["verify", "heisenberg"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_verify_tol_zero_is_kept(capsys):
+    code = main(["verify", "heisenberg", "--n", "2", "--seed", "1", "--tol", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["tolerance"] == 0.0
+    assert out["ok"] == (out["max_abs_error"] <= 0.0)
+    assert code == (0 if out["ok"] else 2)
+    code = main(["verify", "dicke", "--kind", "d1", "--n", "3", "--tol", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["tolerance"] == 0.0
+    assert code == (0 if out["ok"] else 2)

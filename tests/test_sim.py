@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foqcs.circuit import Circuit, cnot, h, x
+from foqcs.circuit import GATE_KINDS, Circuit, Gate, cgamma, cnot, cz, gamma, h, ry, toffoli, x
 from foqcs.errors import DomainError, ResourceGuardError
 from foqcs.pauli import PauliSum, PauliTerm
 from foqcs.sim import (
@@ -76,6 +76,61 @@ def test_extract_block_worked_2x2():
     assert rep.max_abs_error < 1e-10
 
 
+def _per_column_block(circ):
+    """Reference: the whole circuit run on |0_anc>|b> for every column b."""
+    sys_start, n = circ.layout["system"]
+    rows = np.arange(1 << n) << sys_start
+    block = np.empty((1 << n, 1 << n), dtype=complex)
+    for b in range(1 << n):
+        amps = np.zeros(1 << circ.width, dtype=complex)
+        amps[b << sys_start] = 1.0
+        run(circ, amps)
+        block[:, b] = amps[rows]
+    return block
+
+
+def _every_kind(rng, qubits):
+    """One gate of each kind on the given qubits, random angles."""
+    out = []
+    for kind, (arity, angled) in GATE_KINDS.items():
+        qs = tuple(int(q) for q in rng.permutation(qubits)[:arity])
+        out.append(Gate(kind, qs, float(rng.uniform(-np.pi, np.pi)) if angled else None))
+    return out
+
+
+def test_extract_block_suffix_every_kind():
+    # Ancillae 0..2, system 3..4. Every gate kind, gamma and cgamma included,
+    # sits after the last system gate, so it runs in the conjugated suffix.
+    from foqcs.encoder import BlockEncoding
+
+    rng = np.random.default_rng(61)
+    layout = {"anc": (0, 3), "system": (3, 2)}
+    for _ in range(4):
+        prefix = [h(0), h(1), ry(float(rng.uniform(-np.pi, np.pi)), 2)]
+        prefix += _every_kind(rng, [0, 1, 2])
+        middle = [cnot(0, 3), cz(1, 4), toffoli(0, 2, 4), h(1),
+                  gamma(float(rng.uniform(-np.pi, np.pi)), 2, 3),
+                  cgamma(float(rng.uniform(-np.pi, np.pi)), 1, 4, 0)]
+        circ = Circuit(5, tuple(prefix + middle + _every_kind(rng, [0, 1, 2])), layout)
+        ref = _per_column_block(circ)
+        rep = extract_block(BlockEncoding(circ, 1.0, ()), ref)
+        assert rep.max_abs_error < 1e-13
+        np.testing.assert_allclose(rep.postselect_probability,
+                                   np.sum(np.abs(ref) ** 2, axis=0), atol=1e-13)
+
+
+def test_extract_block_no_system_gate():
+    # Without a system gate the block is <0|A|0> times the identity.
+    from foqcs.encoder import BlockEncoding
+
+    rng = np.random.default_rng(62)
+    circ = Circuit(5, tuple(_every_kind(rng, [0, 1, 2])), {"system": (3, 2)})
+    ref = _per_column_block(circ)
+    np.testing.assert_allclose(ref, ref[0, 0] * np.eye(4), atol=1e-14)
+    rep = extract_block(BlockEncoding(circ, 1.0, ()), ref)
+    assert rep.max_abs_error < 1e-13
+
+
 def test_postselect_probability_eigenvector():
     # For an eigenvector input the all-zero-ancilla probability is |l/N|^2.
     from foqcs.encoder import heisenberg_encoding
@@ -106,6 +161,8 @@ def test_assert_state():
     r = assert_state(Circuit(2, ()), {0: 1.0})
     assert r.ok
     r = assert_state(Circuit(1, (x(0),)), {0: 1.0})
+    assert not r.ok and r.mismatches
+    r = assert_state(Circuit(1, ()), {0: complex("nan")})
     assert not r.ok and r.mismatches
 
 
