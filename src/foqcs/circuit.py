@@ -45,17 +45,25 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        spec = GATE_KINDS.get(self.kind)
+        if spec is None:
             raise DomainError(f"unknown gate kind {self.kind!r}")
-        arity, angled = GATE_KINDS[self.kind]
+        arity, angled = spec
         if len(self.qubits) != arity:
             raise DomainError(
                 f"{self.kind} takes {arity} qubits, got {len(self.qubits)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
+        if arity > 1 and len(set(self.qubits)) != arity:
             raise DomainError(f"{self.kind} operands must be distinct: {self.qubits}")
-        if angled != (self.angle is not None):
-            raise DomainError(f"{self.kind}: angle {'required' if angled else 'not allowed'}")
+        if angled:
+            try:
+                finite = math.isfinite(self.angle)  # the value is stored unchanged
+            except TypeError:
+                finite = False
+            if not finite:
+                raise DomainError(f"{self.kind}: angle must be a finite number, got {self.angle!r}")
+        elif self.angle is not None:
+            raise DomainError(f"{self.kind}: angle not allowed")
 
 
 def x(q):

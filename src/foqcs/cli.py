@@ -15,8 +15,7 @@ import numpy as np
 
 from . import report as report_mod
 from .circuit import export_qasm, lower
-from .dicke import AmplitudeList, dicke_state_map, prepare_dicke1, prepare_dicke1_unbalanced, \
-    prepare_dicke2k, prepare_double
+from .dicke import DICKE_KINDS, AmplitudeList, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError, ResourceGuardError
 from .models import (
@@ -97,31 +96,21 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _parse_dicke_kind(kind: str):
-    aliases = {"d1": ("d1", False), "d1u": ("d1", True), "d2k": ("d2k", False),
-               "d2ku": ("d2k", True), "d1d": ("d1d", False), "d1du": ("d1d", True),
-               "d2kd": ("d2kd", False), "d2kdu": ("d2kd", True)}
-    if kind not in aliases:
-        raise DomainError(f"unknown dicke kind {kind!r}")
-    return aliases[kind]
-
-
 def _dicke_request(kind: str, n: int, k: int | None, alphas) -> tuple:
-    base, unbalanced = _parse_dicke_kind(kind)
+    """A "u" suffix names the amplitude-weighted variant of a registry kind."""
+    unbalanced = kind.endswith("u")
+    base = kind[:-1] if unbalanced else kind
+    spec = DICKE_KINDS.get(base)
+    if spec is None:
+        raise DomainError(f"unknown dicke kind {kind!r}")
+    if spec.needs_k and k is None:
+        raise DomainError(f"{kind} needs k")
     a = None
     if unbalanced:
         if alphas is None:
             raise DomainError(f"{kind} needs alphas")
         a = AmplitudeList([complex(re, im) for re, im in alphas])
-    if base == "d1":
-        circ = prepare_dicke1_unbalanced(n, a) if a else prepare_dicke1(n)
-    elif base == "d2k":
-        circ = prepare_dicke2k(n, k, a)
-    elif base == "d1d":
-        circ = prepare_double(n, "single", a=a)
-    else:
-        circ = prepare_double(n, "pair", k, a)
-    return circ, dicke_state_map(base, n, k, a)
+    return spec.build(n, k, a), dicke_state_map(base, n, k, a)
 
 
 def _dicke_request_from_args(args) -> tuple:

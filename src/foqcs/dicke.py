@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .circuit import Circuit, Gate, cnot, gamma, phase, x
 from .errors import DomainError
@@ -209,35 +210,53 @@ def prepare_double(n: int, kind: str = "single", k: int | None = None,
     return Circuit(2 * n, tuple(gates))
 
 
-# --- closed-form expected states (test and CLI oracles) ---
+# --- the kind registry: builder, closed-form expected state ---
+
+@dataclass(frozen=True)
+class DickeKind:
+    """One Dicke preparation kind.
+
+    build(n, k, a) returns the circuit (a is None for the balanced state);
+    index(n, k, l) is the basis index of the component weighted by alphas[l].
+    """
+
+    build: Callable[[int, int | None, AmplitudeList | None], Circuit]
+    index: Callable[[int, int | None, int], int]
+    needs_k: bool
+
+
+def _pair(k: int, l: int) -> int:
+    return (1 << l) | (1 << (l + k))
+
+
+# Entries call the builders by module-level name, so a wrapper placed on a
+# foqcs.dicke builder sees every call made through the registry.
+DICKE_KINDS = {
+    "d1": DickeKind(
+        lambda n, k, a: prepare_dicke1(n) if a is None else prepare_dicke1_unbalanced(n, a),
+        lambda n, k, l: 1 << l, False),
+    "d2k": DickeKind(lambda n, k, a: prepare_dicke2k(n, k, a),
+                     lambda n, k, l: _pair(k, l), True),
+    "d1d": DickeKind(lambda n, k, a: prepare_double(n, "single", a=a),
+                     lambda n, k, l: (1 << l) | (1 << (n + l)), False),
+    "d2kd": DickeKind(lambda n, k, a: prepare_double(n, "pair", k, a),
+                      lambda n, k, l: _pair(k, l) | _pair(k, l) << n, True),
+}
+
 
 def dicke_state_map(kind: str, n: int, k: int | None = None,
                     a: AmplitudeList | None = None) -> dict[int, complex]:
     """Sparse amplitude map of the target state for each builder kind."""
-    if kind in ("d1", "d1d"):
-        m = n
-    else:
-        if k is None:
-            raise DomainError("this kind needs k")
-        m = n - k
+    spec = DICKE_KINDS.get(kind)
+    if spec is None:
+        raise DomainError(f"unknown kind {kind!r}")
+    if spec.needs_k and k is None:
+        raise DomainError(f"{kind} needs k")
+    m = n - k if spec.needs_k else n
     if a is None:
         amps = [1.0 / math.sqrt(m)] * m
     else:
         if len(a) != m:
             raise DomainError(f"need {m} amplitudes, got {len(a)}")
         amps = list(a.alphas)
-    out: dict[int, complex] = {}
-    for l, amp in enumerate(amps):
-        if kind == "d1":
-            idx = 1 << l
-        elif kind == "d2k":
-            idx = (1 << l) | (1 << (l + k))
-        elif kind == "d1d":
-            idx = (1 << l) | (1 << (n + l))
-        elif kind == "d2kd":
-            idx = (1 << l) | (1 << (l + k))
-            idx |= idx << n
-        else:
-            raise DomainError(f"unknown kind {kind!r}")
-        out[idx] = complex(amp)
-    return out
+    return {spec.index(n, k, l): complex(amp) for l, amp in enumerate(amps)}

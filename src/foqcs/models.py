@@ -1,6 +1,7 @@
 """Spin-model parameter types and their Pauli-sum Hamiltonians."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,14 @@ class HeisenbergParams:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("n must be >= 2")
-        if all(
-            v == 0.0 for v in (self.gx, self.gy, self.gz, self.jx, self.jy, self.jz)
-        ):
+        vals = (self.gx, self.gy, self.gz, self.jx, self.jy, self.jz)
+        try:
+            finite = all(math.isfinite(v) for v in vals)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise DomainError(f"couplings must be finite numbers, got {vals}")
+        if all(v == 0.0 for v in vals):
             raise DomainError("at least one coupling must be nonzero")
 
     def field(self, axis: str) -> float:
@@ -85,6 +91,8 @@ class SpinGlassParams:
             raise DomainError(f"g must have shape (3, {n}), got {g.shape}")
         if J.shape != (3, n, n):
             raise DomainError(f"J must have shape (3, {n}, {n}), got {J.shape}")
+        if not (np.isfinite(g).all() and np.isfinite(J).all()):
+            raise DomainError("g and J must be finite")
         if any(np.any(np.tril(J[a]) != 0.0) for a in range(3)):
             raise DomainError("J must be strictly upper triangular")
         object.__setattr__(self, "n", n)

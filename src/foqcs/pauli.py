@@ -6,6 +6,7 @@ Display labels and the JSON wire format put site 0 rightmost instead.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ class PauliTerm:
     ops: str
 
     def __post_init__(self):
+        if not cmath.isfinite(self.coefficient):
+            raise DomainError(f"coefficient of {self.label()} must be finite")
         if len(self.ops) < 1:
             raise DomainError("empty Pauli string")
         bad = set(self.ops) - set("IXYZ")

@@ -9,12 +9,10 @@ import numpy as np
 
 from .baseline import standard_lcu
 from .circuit import CountReport, count
-from .dicke import prepare_dicke1, prepare_dicke2k, prepare_double
+from .dicke import DICKE_KINDS
 from .encoder import heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError
 from .models import heisenberg_hamiltonian, random_heisenberg, random_spin_glass
-
-DICKE_KINDS = ("d1", "d1d", "d2k", "d2kd")
 
 
 @dataclass(frozen=True)
@@ -65,18 +63,6 @@ def predict(model: str, n: int, k: int | None = None) -> Prediction:
     return Prediction(c, c, 0)
 
 
-def _dicke_circuit(kind: str, n: int, k: int | None):
-    if kind == "d1":
-        return prepare_dicke1(n)
-    if kind == "d1d":
-        return prepare_double(n, "single")
-    if kind == "d2k":
-        return prepare_dicke2k(n, k)
-    if kind == "d2kd":
-        return prepare_double(n, "pair", k)
-    raise DomainError(f"unknown dicke kind {kind!r}")
-
-
 def sweep(model: str, ns, seed: int = 0, k: int | None = None,
           include_baseline: bool = False) -> list[CountRow]:
     """Build circuits across n, count them, and pair with predictions.
@@ -99,9 +85,10 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
             actual = count(spin_glass_encoding(p).circuit)
             rows.append(CountRow(model, n, None, predict(model, n), actual))
         elif model in DICKE_KINDS:
-            ks = [None] if model in ("d1", "d1d") else ([k] if k else range(1, n))
+            spec = DICKE_KINDS[model]
+            ks = ([k] if k else range(1, n)) if spec.needs_k else [None]
             for kk in ks:
-                actual = count(_dicke_circuit(model, n, kk))
+                actual = count(spec.build(n, kk, None))
                 rows.append(CountRow(model, n, kk, predict(model, n, kk), actual))
         elif model == "baseline":
             p = random_heisenberg(n, rng)

@@ -1,9 +1,14 @@
 """Dense statevector simulation and block extraction.
 
-Amplitudes are complex128 arrays indexed little-endian (qubit q = bit q).
-Kernels operate in place on an array shaped (2**width,) or (2**width, batch).
-Composite gates (gamma, cgamma, toffoli, ...) are applied via their exact
-unitaries, so circuits need not be lowered before simulation.
+Amplitudes are complex128 arrays indexed little-endian (qubit q = bit q),
+shaped (2**width,) or (2**width, batch). Every gate kind, composite ones
+(gamma, cgamma, toffoli, ...) included, is applied in place through its exact
+unitary by one kernel, _apply_unitary, so circuits need not be lowered before
+simulation. The kernel reads the sparsity of the unitary: it skips rows equal
+to the identity's, scales a diagonal-only row in place, multiplies by no
+coefficient equal to 1, and copies a slice only when a later row reads it
+after it has been overwritten. A CNOT is then one slice copy and two
+assignments, and a phase gate one in-place scaling of half the amplitudes.
 
 extract_block splits a block encoding at its first and last gate touching the
 system register. The prefix (PR) and the suffix (PL-dagger) act on the
@@ -21,54 +26,7 @@ import numpy as np
 from .circuit import Circuit, Gate
 from .errors import DomainError, ResourceGuardError
 
-try:  # bitwise kernels JIT-compile when numba is available
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 DEFAULT_MAX_WIDTH = 24
-
-
-@njit(cache=True)
-def _k_swap(a, log_b, ones, tmask):
-    half = tmask << log_b
-    for i in range(a.size):
-        row = i >> log_b
-        if (row & ones) == ones and (row & tmask) == 0:
-            j = i + half
-            t = a[i]
-            a[i] = a[j]
-            a[j] = t
-
-
-@njit(cache=True)
-def _k_mix(a, log_b, ones, tmask, u00, u01, u10, u11):
-    half = tmask << log_b
-    for i in range(a.size):
-        row = i >> log_b
-        if (row & ones) == ones and (row & tmask) == 0:
-            j = i + half
-            x0 = a[i]
-            x1 = a[j]
-            a[i] = u00 * x0 + u01 * x1
-            a[j] = u10 * x0 + u11 * x1
-
-
-@njit(cache=True)
-def _k_diag(a, log_b, ones, tmask, p0, p1):
-    for i in range(a.size):
-        row = i >> log_b
-        if (row & ones) == ones:
-            a[i] *= p1 if row & tmask else p0
 
 
 def max_width() -> int:
@@ -118,11 +76,17 @@ def _bit_view(amps: np.ndarray, width: int, qubits: tuple[int, ...]) -> tuple:
     return amps.reshape(shape), axes
 
 
-def _slices(ndim: int, axes: dict[int, int], assign: dict[int, int]) -> tuple:
-    idx = [slice(None)] * ndim
-    for q, bit in assign.items():
-        idx[axes[q]] = bit
-    return tuple(idx)
+def _const(m) -> np.ndarray:
+    u = np.array(m, dtype=complex)
+    u.flags.writeable = False
+    return u
+
+
+def _controlled(sub: np.ndarray) -> np.ndarray:
+    """Controlled-sub with the control on local bit 0 (odd basis indices)."""
+    u = np.eye(2 * len(sub), dtype=complex)
+    u[1::2, 1::2] = sub
+    return u
 
 
 def _mat_ry(t):
@@ -134,12 +98,8 @@ def _mat_rz(t):
     return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
 
 
-_MAT_FIXED = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-}
+def _mat_phase(t):
+    return np.array([[1, 0], [0, np.exp(1j * t)]], dtype=complex)
 
 
 def gamma_matrix(theta: float) -> np.ndarray:
@@ -156,173 +116,85 @@ def gamma_matrix(theta: float) -> np.ndarray:
     return g
 
 
+_X = [[0, 1], [1, 0]]
+_CNOT = _controlled(np.array(_X))
+_FIXED = {
+    "x": _const(_X),
+    "h": _const(np.array([[1, 1], [1, -1]]) / math.sqrt(2)),
+    "s": _const([[1, 0], [0, 1j]]),
+    "sdg": _const([[1, 0], [0, -1j]]),
+    "cnot": _const(_CNOT),
+    "cz": _const(np.diag([1, 1, 1, -1])),
+    "toffoli": _const(_controlled(_CNOT)),  # controls bits 0, 1; target bit 2
+}
+_ANGLED = {
+    "ry": _mat_ry,
+    "rz": _mat_rz,
+    "phase": _mat_phase,
+    "gamma": gamma_matrix,
+    "cry": lambda t: _controlled(_mat_ry(t)),
+    "crz": lambda t: _controlled(_mat_rz(t)),
+    "cphase": lambda t: _controlled(_mat_phase(t)),
+    "cgamma": lambda t: _controlled(gamma_matrix(t)),  # control bit 0; (a, b) = bits 1, 2
+}
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
-    """Exact unitary of any gate kind, on the local basis of g.qubits."""
-    k = g.kind
-    if k in _MAT_FIXED:
-        return _MAT_FIXED[k]
-    if k == "ry":
-        return _mat_ry(g.angle)
-    if k == "rz":
-        return _mat_rz(g.angle)
-    if k == "phase":
-        return np.diag([1, np.exp(1j * g.angle)]).astype(complex)
-    if k in ("cnot", "cz", "cry", "crz", "cphase"):
-        u = np.eye(4, dtype=complex)
-        sub = {
-            "cnot": _MAT_FIXED["x"],
-            "cz": np.diag([1, -1]).astype(complex),
-            "cry": _mat_ry(g.angle) if g.angle is not None else None,
-            "crz": _mat_rz(g.angle) if g.angle is not None else None,
-            "cphase": np.diag([1, np.exp(1j * g.angle)]) if g.angle is not None else None,
-        }[k]
-        # control is qubits[0] = local bit 0; rows with bit0=1 are indices 1,3.
-        u[np.ix_([1, 3], [1, 3])] = sub
-        return u
-    if k == "gamma":
-        return gamma_matrix(g.angle)
-    if k == "toffoli":
-        u = np.eye(8, dtype=complex)
-        # controls bits 0,1; target bit 2: swap |011> <-> |111> (indices 3, 7).
-        u[3, 3] = u[7, 7] = 0.0
-        u[3, 7] = u[7, 3] = 1.0
-        return u
-    if k == "cgamma":
-        u = np.eye(8, dtype=complex)
-        sub = gamma_matrix(g.angle)
-        idx = [1, 3, 5, 7]  # control = local bit 0 set; (a,b) = bits 1,2
-        u[np.ix_(idx, idx)] = sub
-        return u
-    raise DomainError(f"no unitary for {k}")
+    """Exact unitary of any gate kind, on the local basis of g.qubits.
+
+    Local bit i is g.qubits[i]; controls come first. The fixed kinds return
+    shared read-only arrays.
+    """
+    if g.angle is None:
+        return _FIXED[g.kind]
+    return _ANGLED[g.kind](g.angle)
 
 
 def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
                    width: int) -> None:
-    """Apply a 2^k x 2^k matrix in place, local bit i = qubits[i]."""
-    k = len(qubits)
+    """Apply a 2^k x 2^k matrix in place, local bit i = qubits[i].
+
+    Row r of u rewrites the slice where the operands read r. Rows equal to the
+    identity's are skipped, a row whose only nonzero is on the diagonal is
+    scaled in place, and any other row is summed into a new array, with no
+    multiplication by a coefficient equal to 1, and assigned. A slice is copied
+    first only if a later row reads it after its own row has overwritten it.
+    """
+    # u is read as Python lists: numpy calls on a 4x4 cost more than the work.
+    work = []  # (r, [(c, u[r, c]) for each nonzero]) of the non-identity rows
+    for r, row in enumerate(u.tolist()):
+        terms = [(c, x) for c, x in enumerate(row) if x]
+        if terms != [(r, 1)]:
+            work.append((r, terms))
+    if not work:
+        return
     v, axes = _bit_view(amps, width, qubits)
-    subs = [
-        _slices(v.ndim, axes, {qubits[i]: (p >> i) & 1 for i in range(k)})
-        for p in range(1 << k)
-    ]
-    vals = [v[ix].copy() for ix in subs]
-    for r in range(1 << k):
-        acc = None
-        for c in range(1 << k):
-            if u[r, c] != 0:
-                term = u[r, c] * vals[c]
-                acc = term if acc is None else acc + term
-        v[subs[r]] = 0.0 if acc is None else acc
+    idx = [slice(None)] * v.ndim
+    views = {}
 
+    def view(p):
+        if p not in views:
+            for i, q in enumerate(qubits):
+                idx[axes[q]] = (p >> i) & 1
+            views[p] = v[tuple(idx)]
+        return views[p]
 
-def _apply_gate(amps: np.ndarray, g: Gate, width: int) -> None:
-    """In-place application: jitted bitwise kernels where possible, numpy views
-    otherwise (gamma/cgamma always go through their dense unitaries)."""
-    batch = amps.shape[1] if amps.ndim == 2 else 1
-    if not _HAVE_NUMBA or (batch & (batch - 1)) or not amps.flags.c_contiguous:
-        return _apply_gate_numpy(amps, g, width)
-    q = g.qubits
-    k = g.kind
-    flat = amps.reshape(-1)
-    log_b = batch.bit_length() - 1
-    if k == "x":
-        _k_swap(flat, log_b, 0, 1 << q[0])
-    elif k == "cnot":
-        _k_swap(flat, log_b, 1 << q[0], 1 << q[1])
-    elif k == "toffoli":
-        _k_swap(flat, log_b, (1 << q[0]) | (1 << q[1]), 1 << q[2])
-    elif k in ("h", "ry"):
-        u = gate_unitary(g)
-        _k_mix(flat, log_b, 0, 1 << q[0],
-               complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
-    elif k == "cry":
-        u = _mat_ry(g.angle)
-        _k_mix(flat, log_b, 1 << q[0], 1 << q[1],
-               complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
-    elif k == "s":
-        _k_diag(flat, log_b, 0, 1 << q[0], 1.0 + 0j, 1j)
-    elif k == "sdg":
-        _k_diag(flat, log_b, 0, 1 << q[0], 1.0 + 0j, -1j)
-    elif k == "phase":
-        _k_diag(flat, log_b, 0, 1 << q[0], 1.0 + 0j, np.exp(1j * g.angle))
-    elif k == "rz":
-        _k_diag(flat, log_b, 0, 1 << q[0],
-                np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle))
-    elif k == "cz":
-        _k_diag(flat, log_b, 1 << q[0], 1 << q[1], 1.0 + 0j, -1.0 + 0j)
-    elif k == "crz":
-        _k_diag(flat, log_b, 1 << q[0], 1 << q[1],
-                np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle))
-    elif k == "cphase":
-        _k_diag(flat, log_b, 1 << q[0], 1 << q[1], 1.0 + 0j, np.exp(1j * g.angle))
-    else:
-        _apply_unitary(amps, gate_unitary(g), g.qubits, width)
-
-
-def _apply_gate_numpy(amps: np.ndarray, g: Gate, width: int) -> None:
-    """Pure-numpy fallback using strided views."""
-    q = g.qubits
-    k = g.kind
-    if k in ("x", "h", "ry"):
-        v, axes = _bit_view(amps, width, q)
-        a0 = v[_slices(v.ndim, axes, {q[0]: 0})]
-        a1 = v[_slices(v.ndim, axes, {q[0]: 1})]
-        if k == "x":
-            t = a0.copy()
-            a0[...] = a1
-            a1[...] = t
+    written = {r for r, _ in work}
+    keep = {c for r, terms in work for c, _ in terms if c < r and c in written}
+    saved = {c: view(c).copy() for c in keep}
+    for r, terms in work:  # a unitary has no zero row
+        dst = view(r)
+        (src, x), *rest = [(dst if c == r else saved[c] if c in saved else view(c), x)
+                           for c, x in terms]
+        if not rest and src is dst:
+            dst *= x
+        elif not rest and x == 1:
+            dst[...] = src
         else:
-            u = gate_unitary(g)
-            t0 = u[0, 0] * a0 + u[0, 1] * a1
-            t1 = u[1, 0] * a0 + u[1, 1] * a1
-            a0[...] = t0
-            a1[...] = t1
-    elif k in ("s", "sdg", "rz", "phase"):
-        v, axes = _bit_view(amps, width, q)
-        a1 = v[_slices(v.ndim, axes, {q[0]: 1})]
-        if k == "s":
-            a1 *= 1j
-        elif k == "sdg":
-            a1 *= -1j
-        elif k == "phase":
-            a1 *= np.exp(1j * g.angle)
-        else:
-            v[_slices(v.ndim, axes, {q[0]: 0})] *= np.exp(-0.5j * g.angle)
-            a1 *= np.exp(0.5j * g.angle)
-    elif k == "cnot":
-        v, axes = _bit_view(amps, width, q)
-        s0 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 0})]
-        s1 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1})]
-        t = s0.copy()
-        s0[...] = s1
-        s1[...] = t
-    elif k == "cz":
-        v, axes = _bit_view(amps, width, q)
-        v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1})] *= -1.0
-    elif k in ("crz", "cphase", "cry"):
-        v, axes = _bit_view(amps, width, q)
-        if k == "cphase":
-            v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1})] *= np.exp(1j * g.angle)
-        elif k == "crz":
-            v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 0})] *= np.exp(-0.5j * g.angle)
-            v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1})] *= np.exp(0.5j * g.angle)
-        else:
-            a0 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 0})]
-            a1 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1})]
-            u = _mat_ry(g.angle)
-            t0 = u[0, 0] * a0 + u[0, 1] * a1
-            t1 = u[1, 0] * a0 + u[1, 1] * a1
-            a0[...] = t0
-            a1[...] = t1
-    elif k == "toffoli":
-        v, axes = _bit_view(amps, width, q)
-        s0 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1, q[2]: 0})]
-        s1 = v[_slices(v.ndim, axes, {q[0]: 1, q[1]: 1, q[2]: 1})]
-        t = s0.copy()
-        s0[...] = s1
-        s1[...] = t
-    else:
-        _apply_unitary(amps, gate_unitary(g), g.qubits, width)
+            acc = src.copy() if x == 1 else x * src
+            for src, x in rest:
+                acc += src if x == 1 else x * src
+            dst[...] = acc
 
 
 def run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -336,7 +208,7 @@ def run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     if not amps.flags.c_contiguous:
         raise DomainError("amplitude array must be C-contiguous")
     for g in circuit.gates:
-        _apply_gate(amps, g, circuit.width)
+        _apply_unitary(amps, gate_unitary(g), g.qubits, circuit.width)
     return amps
 
 
@@ -398,7 +270,7 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     lo, hi = (touching[0], touching[-1] + 1) if touching else (len(gates), len(gates))
     v = StateVector.zero(sys_start).amps
     for g in gates[:lo]:
-        _apply_gate(v, g, sys_start)
+        _apply_unitary(v, gate_unitary(g), g.qubits, sys_start)
     w = StateVector.zero(sys_start).amps
     for g in reversed(gates[hi:]):
         _apply_unitary(w, gate_unitary(g).conj().T, g.qubits, sys_start)
@@ -411,7 +283,7 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
         amps.fill(0.0)
         rows[b] = v
         for g in gates[lo:hi]:
-            _apply_gate(amps, g, circ.width)
+            _apply_unitary(amps, gate_unitary(g), g.qubits, circ.width)
         block[:, b] = rows @ w_bra
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))

@@ -5,6 +5,7 @@ import pytest
 
 from foqcs.circuit import (
     Circuit,
+    Gate,
     cgamma,
     cnot,
     compose,
@@ -236,3 +237,23 @@ def test_circuit_validation():
         Circuit(2, (), {"a": (0, 2), "b": (1, 1)})
     with pytest.raises(DomainError):
         cnot(1, 1)
+
+
+def test_gate_angle_must_be_finite_number():
+    for bad in (float("nan"), float("inf"), -float("inf"), "0.5", None):
+        with pytest.raises(DomainError):
+            Gate("ry", (0,), bad)
+    with pytest.raises(DomainError):
+        Gate("cnot", (0, 1), 0.5)
+    # the value is stored as given, so JSON and QASM bytes do not change
+    assert Gate("phase", (0,), 1).angle == 1 and isinstance(Gate("phase", (0,), 1).angle, int)
+    d = {"width": 1, "gates": [{"kind": "ry", "qubits": [0], "angle": "0.5"}]}
+    with pytest.raises(DomainError):
+        Circuit.from_dict(d)
+    d["gates"][0]["angle"] = 0.5
+    assert Circuit.from_dict(d).gates[0].angle == 0.5
+    qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry({}) q[0];\n'
+    assert parse_qasm(qasm.format("0.25")).gates[0].angle == 0.25
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(DomainError):
+            parse_qasm(qasm.format(bad))

@@ -157,3 +157,34 @@ def test_verify_tol_zero_is_kept(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["tolerance"] == 0.0
     assert code == (0 if out["ok"] else 2)
+
+
+def test_verify_generic_nan_coefficient(tmp_path, capsys):
+    # A NaN term used to be dropped by the coefficient cutoff, giving "ok": true.
+    f = tmp_path / "h.json"
+    f.write_text('{"n": 1, "terms": [{"coeff": [NaN, 0], "ops": "Z"},'
+                 ' {"coeff": [1, 0], "ops": "X"}]}')
+    assert main(["verify", "generic", "--spec", str(f)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_or_string_couplings(tmp_path, capsys):
+    assert main(["encode", "heisenberg", "--n", "2", "--gx", "nan",
+                 "-o", str(tmp_path / "enc")]) == 2
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps({"n": 2, "gx": "0.5", "jz": 1.0}))
+    assert main(["verify", "heisenberg", "--spec", str(f)]) == 2
+    f.write_text('{"n": 2, "g": [[NaN, 0.5], [0.3, 0.4], [0.1, 0.9]],'
+                 ' "J": [[[0.7]], [[-0.2]], [[0.6]]]}')
+    assert main(["verify", "spin-glass", "--spec", str(f)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_dicke_kinds_resolve_through_one_table(capsys):
+    assert main(["verify", "dicke", "--kind", "d2k", "--n", "5"]) == 2
+    assert "needs k" in capsys.readouterr().err
+    for kind in ("d3", "u", "d1uu", "D1"):
+        assert main(["verify", "dicke", "--kind", kind, "--n", "4"]) == 2
+        assert "unknown dicke kind" in capsys.readouterr().err
+    assert main(["verify", "dicke", "--kind", "d2kdu", "--n", "4", "--k", "1",
+                 "--alphas", "[[1, 0], [0, 1], [0.5, 0.5]]"]) == 0

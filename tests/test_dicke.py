@@ -5,6 +5,7 @@ import pytest
 
 from foqcs.circuit import count
 from foqcs.dicke import (
+    DICKE_KINDS,
     AmplitudeList,
     balanced_thetas,
     cnot_chain,
@@ -193,3 +194,15 @@ def test_phase_gates_only_when_needed():
     b = AmplitudeList([0.5, 0.5j, math.sqrt(0.5)])
     circ = prepare_dicke1_unbalanced(3, b)
     assert sum(1 for g in circ.gates if g.kind == "phase") == 1
+
+
+def test_registry_builds_match_closed_form():
+    rng = np.random.default_rng(12)
+    assert set(DICKE_KINDS) == {"d1", "d2k", "d1d", "d2kd"}
+    for kind, spec in DICKE_KINDS.items():
+        for n in range(2, 7):
+            for k in range(1, n) if spec.needs_k else [None]:
+                m = n - k if spec.needs_k else n
+                for a in (None, random_amplitudes(rng, m)):
+                    r = assert_state(spec.build(n, k, a), dicke_state_map(kind, n, k, a))
+                    assert r.ok, (kind, n, k, a is None, r.max_abs_error)

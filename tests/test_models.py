@@ -23,6 +23,21 @@ def test_heisenberg_validation():
         HeisenbergParams(1, gx=1.0)
     with pytest.raises(DomainError):
         HeisenbergParams(3)
+    for bad in (float("nan"), float("inf"), "0.5"):
+        with pytest.raises(DomainError):
+            HeisenbergParams(3, gx=1.0, jy=bad)
+
+
+def test_spin_glass_must_be_finite():
+    p = random_spin_glass(3, np.random.default_rng(3))
+    for bad in (np.nan, np.inf):
+        g, J = p.g.copy(), p.J.copy()
+        g[1, 2] = bad
+        J[2, 0, 1] = bad  # upper triangle, so only the finiteness check can reject it
+        with pytest.raises(DomainError):
+            SpinGlassParams(3, g, p.J)
+        with pytest.raises(DomainError):
+            SpinGlassParams(3, p.g, J)
 
 
 def test_normalization_matches_one_norm():

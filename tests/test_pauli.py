@@ -150,3 +150,8 @@ def test_term_validation():
         PauliTerm(1.0, "XQ")
     with pytest.raises(DomainError):
         PauliSum(2, [PauliTerm(1.0, "X")])
+    for bad in (float("nan"), complex(0, float("inf")), complex(float("nan"), 0)):
+        with pytest.raises(DomainError):
+            PauliTerm(bad, "X")
+        with pytest.raises(DomainError):
+            PauliSum(1, [(bad, "Z"), (1.0, "X")])

@@ -8,6 +8,7 @@ from foqcs.sim import (
     StateVector,
     assert_state,
     extract_block,
+    gate_unitary,
     max_width,
     run,
     simulate,
@@ -181,16 +182,44 @@ def test_width_mismatch():
         simulate(Circuit(2, ()), StateVector.zero(3))
 
 
-def test_numba_and_numpy_kernels_agree(monkeypatch):
-    import foqcs.sim as sim_mod
-    from tests.test_circuit import ALL_LOWERABLE, _random_circuit
+def _embed(g, width):
+    """gate_unitary(g) embedded into the full 2^width matrix, basis index by index."""
+    u = gate_unitary(g)
+    full = np.zeros((1 << width, 1 << width), dtype=complex)
+    for col in range(1 << width):
+        local_in = sum(((col >> q) & 1) << i for i, q in enumerate(g.qubits))
+        rest = col & ~sum(1 << q for q in g.qubits)
+        for local_out in range(u.shape[0]):
+            row = rest | sum(((local_out >> i) & 1) << q for i, q in enumerate(g.qubits))
+            full[row, col] = u[local_out, local_in]
+    return full
 
-    rng = np.random.default_rng(60)
-    c = _random_circuit(rng, 4, 30, ALL_LOWERABLE)
-    psi = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
-    a = psi.copy()
-    run(c, a)
-    monkeypatch.setattr(sim_mod, "_HAVE_NUMBA", False)
-    b = psi.copy()
-    run(c, b)
-    np.testing.assert_allclose(a, b, atol=1e-13)
+
+@pytest.mark.parametrize("kind", list(GATE_KINDS))
+def test_kernel_every_kind(kind):
+    # Operands in unsorted order. Angle 0 makes every rotation and phase kind the
+    # identity, and other angles make rz/crz/phase/cphase diagonal, so the
+    # identity-row skip and the in-place scaling both run.
+    width = 4
+    arity, angled = GATE_KINDS[kind]
+    rng = np.random.default_rng(63)
+    operands = [(3, 0, 2)[:arity], (1, 3, 0)[:arity], (2, 1, 3)[:arity]]
+    angles = [0.0, 0.7, -2.9, np.pi] if angled else [None]
+    for qs in operands:
+        for angle in angles:
+            g = Gate(kind, qs, angle)
+            full = _embed(g, width)
+            psi = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+            batch = rng.normal(size=(1 << width, 3)) + 1j * rng.normal(size=(1 << width, 3))
+            for amps in (psi, batch):
+                out = amps.copy()
+                run(Circuit(width, (g,)), out)
+                np.testing.assert_allclose(out, full @ amps, atol=1e-14, rtol=0)
+
+
+def test_gate_unitary_constants_unchanged():
+    # The fixed kinds share read-only module constants across calls.
+    for kind in ("x", "h", "s", "sdg", "cnot", "cz", "toffoli"):
+        g = Gate(kind, tuple(range(GATE_KINDS[kind][0])))
+        assert gate_unitary(g) is gate_unitary(g)
+        assert not gate_unitary(g).flags.writeable
