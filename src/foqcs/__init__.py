@@ -1,8 +1,9 @@
 """Block-encoding circuits from Dicke-state preparation and a check-matrix
 SELECT oracle, with exact statevector verification and gate accounting."""
 
-from .baseline import BaselineEncoding, generic_state_prep, standard_lcu
+from .baseline import generic_state_prep, standard_lcu
 from .circuit import (
+    BlockEncoding,
     Circuit,
     CountReport,
     Gate,
@@ -28,7 +29,6 @@ from .dicke import (
     unbalanced_angles,
 )
 from .encoder import (
-    BlockEncoding,
     CoefficientMatrix,
     generic_foqcs,
     heisenberg_encoding,

@@ -9,11 +9,11 @@ oracle resolves each |m>-control with a clean-ancilla Toffoli chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
+    BlockEncoding,
     Circuit,
     Gate,
     cnot,
@@ -91,7 +91,7 @@ def state_prep_gates(amps: np.ndarray, qubits: list[int]) -> list[Gate]:
     c = dim.bit_length() - 1
     if 1 << c != dim:
         raise DomainError("amplitude count must be a power of two")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:  # NaN fails too
         raise DomainError("amplitudes are not normalized")
     if len(qubits) != c:
         raise DomainError(f"need {c} qubits, got {len(qubits)}")
@@ -124,20 +124,6 @@ def generic_state_prep(amps: np.ndarray) -> Circuit:
     return Circuit(c, tuple(state_prep_gates(amps, list(range(c)))))
 
 
-@dataclass(frozen=True)
-class BaselineEncoding:
-    """Standard LCU circuit with its ancilla accounting."""
-
-    circuit: Circuit
-    anc_count: int
-    normalization: float
-    postselect: tuple[int, ...]
-
-    @property
-    def layout(self):
-        return self.circuit.layout
-
-
 def _controlled_pauli_gates(ops: str, ctrl: int, sys_base: int) -> list[Gate]:
     out: list[Gate] = []
     for site, p in enumerate(ops):
@@ -151,9 +137,10 @@ def _controlled_pauli_gates(ops: str, ctrl: int, sys_base: int) -> list[Gate]:
     return out
 
 
-def standard_lcu(h: PauliSum) -> BaselineEncoding:
+def standard_lcu(h: PauliSum) -> BlockEncoding:
     """Fig-textbook LCU: PR on ceil(log2 M) ancillae, per-term multi-controlled
-    Pauli strings resolved through a clean work-ancilla Toffoli chain, PL-dagger."""
+    Pauli strings resolved through a clean work-ancilla Toffoli chain, PL-dagger.
+    The chain returns the work ancillae to |0>, so they are post-selected too."""
     m_terms = len(h.terms)
     if m_terms < 1:
         raise DomainError("empty operator")
@@ -181,7 +168,7 @@ def standard_lcu(h: PauliSum) -> BaselineEncoding:
             elif p == "Y":
                 gates += [sdg(sys_base + site), x(sys_base + site), s(sys_base + site)]
         circ = Circuit(width, tuple(gates), layout)
-        return BaselineEncoding(circ, 0, norm, ())
+        return BlockEncoding(circ, norm)
 
     amps = np.zeros(1 << c, dtype=complex)
     for i, t in enumerate(h.terms):
@@ -210,4 +197,4 @@ def standard_lcu(h: PauliSum) -> BaselineEncoding:
     pl = Circuit(width, tuple(state_prep_gates(np.conj(amps), anc)))
     gates += dagger(pl).gates
     circ = Circuit(width, tuple(gates), layout)
-    return BaselineEncoding(circ, c + work, norm, tuple(range(c)))
+    return BlockEncoding(circ, norm)

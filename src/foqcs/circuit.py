@@ -186,6 +186,24 @@ class Circuit:
         return cls.from_dict(json.loads(text))
 
 
+@dataclass(frozen=True)
+class BlockEncoding:
+    """A block-encoding circuit and its normalization N (block = H/N). The
+    "system" register holds the top qubits; every qubit below it is an ancilla
+    post-selected on |0>."""
+
+    circuit: Circuit
+    normalization: float
+
+    @property
+    def layout(self) -> dict[str, tuple[int, int]]:
+        return self.circuit.layout
+
+    @property
+    def postselect(self) -> tuple[int, ...]:
+        return tuple(range(self.layout["system"][0]))
+
+
 def remap(c: Circuit, qubit_map: dict[int, int], width: int, layout=None) -> Circuit:
     """Re-index a circuit's qubits through qubit_map into a new width."""
     vals = list(qubit_map.values())

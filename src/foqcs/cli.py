@@ -15,7 +15,7 @@ import numpy as np
 
 from . import report as report_mod
 from .circuit import export_qasm, lower
-from .dicke import DICKE_KINDS, AmplitudeList, dicke_state_map
+from .dicke import AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError, ResourceGuardError
 from .models import (
@@ -30,21 +30,33 @@ from .pauli import PauliSum, hamiltonian_matrix, one_norm
 from .sim import assert_state, extract_block
 
 VERIFY_MAX_WIDTH = 21
+HEISENBERG_FIELDS = ("gx", "gy", "gz", "jx", "jy", "jz")
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _from_json(what: str, build, data):
+    """build(data) on decoded JSON. A TypeError or IndexError there means the
+    data has the wrong shape, so it becomes an input error (exit 1)."""
+    try:
+        return build(data)
+    except (TypeError, IndexError) as e:
+        raise ValueError(f"malformed {what}: {e}") from e
+
+
+def _heisenberg_from_dict(d: dict) -> HeisenbergParams:
+    return HeisenbergParams(int(d["n"]), *(d.get(f, 0.0) for f in HEISENBERG_FIELDS))
+
+
 def _heisenberg_from_args(args) -> HeisenbergParams:
     if args.spec:
-        d = json.loads(Path(args.spec).read_text())
-        return HeisenbergParams(int(d["n"]), d.get("gx", 0.0), d.get("gy", 0.0),
-                                d.get("gz", 0.0), d.get("jx", 0.0), d.get("jy", 0.0),
-                                d.get("jz", 0.0))
+        return _from_json("heisenberg spec", _heisenberg_from_dict,
+                          json.loads(Path(args.spec).read_text()))
     if args.n is None:
         raise DomainError("heisenberg needs --spec or --n")
-    vals = [args.gx, args.gy, args.gz, args.jx, args.jy, args.jz]
+    vals = [getattr(args, f) for f in HEISENBERG_FIELDS]
     if all(v is None for v in vals):
         return random_heisenberg(args.n, np.random.default_rng(args.seed))
     return HeisenbergParams(args.n, *(v or 0.0 for v in vals))
@@ -52,7 +64,8 @@ def _heisenberg_from_args(args) -> HeisenbergParams:
 
 def _spin_glass_from_args(args) -> SpinGlassParams:
     if args.spec:
-        return SpinGlassParams.from_dict(json.loads(Path(args.spec).read_text()))
+        return _from_json("spin-glass spec", SpinGlassParams.from_dict,
+                          json.loads(Path(args.spec).read_text()))
     if args.n is None:
         raise DomainError("spin-glass needs --spec or --n")
     return random_spin_glass(args.n, np.random.default_rng(args.seed))
@@ -68,7 +81,8 @@ def _build_encoding(args):
     if args.model == "generic":
         if not args.spec:
             raise DomainError("generic needs --spec with a Pauli-sum JSON")
-        h = PauliSum.from_json(Path(args.spec).read_text())
+        h = _from_json("Pauli-sum spec", PauliSum.from_dict,
+                       json.loads(Path(args.spec).read_text()))
         return generic_foqcs(h), h
     raise DomainError(f"unknown model {args.model!r}")
 
@@ -100,27 +114,26 @@ def _dicke_request(kind: str, n: int, k: int | None, alphas) -> tuple:
     """A "u" suffix names the amplitude-weighted variant of a registry kind."""
     unbalanced = kind.endswith("u")
     base = kind[:-1] if unbalanced else kind
-    spec = DICKE_KINDS.get(base)
-    if spec is None:
-        raise DomainError(f"unknown dicke kind {kind!r}")
-    if spec.needs_k and k is None:
-        raise DomainError(f"{kind} needs k")
+    spec = dicke_kind(base, k)
     a = None
     if unbalanced:
         if alphas is None:
             raise DomainError(f"{kind} needs alphas")
-        a = AmplitudeList([complex(re, im) for re, im in alphas])
+        a = AmplitudeList(_from_json("alphas", lambda v: [complex(re, im) for re, im in v],
+                                     alphas))
     return spec.build(n, k, a), dicke_state_map(base, n, k, a)
+
+
+def _dicke_fields(d: dict) -> tuple:
+    k = d.get("k")
+    return str(d["kind"]), int(d["n"]), None if k is None else int(k), d.get("alphas")
 
 
 def _dicke_request_from_args(args) -> tuple:
     """Flags or a JSON request {"kind", "n", "k", "alphas": [[re,im],...]}."""
     if args.spec:
-        d = json.loads(Path(args.spec).read_text())
-        kind = d["kind"]
-        n = int(d["n"])
-        k = int(d["k"]) if d.get("k") is not None else None
-        alphas = d.get("alphas")
+        kind, n, k, alphas = _from_json("dicke spec", _dicke_fields,
+                                        json.loads(Path(args.spec).read_text()))
     else:
         if args.kind is None or args.n is None:
             raise DomainError("dicke needs --spec or --kind/--n")
@@ -196,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec")
         p.add_argument("--tol", type=float)
         p.add_argument("--alphas")
-        for name in ("gx", "gy", "gz", "jx", "jy", "jz"):
+        for name in HEISENBERG_FIELDS:
             p.add_argument(f"--{name}", type=float)
 
     enc = sub.add_parser("encode", help="write lowered QASM + layout metadata")
@@ -209,14 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     cnt = sub.add_parser("counts", help="predicted vs actual gate-count sweeps")
-    cnt.add_argument("model", choices=["heisenberg", "spin-glass", "dicke", "baseline"])
+    cnt.add_argument("model", choices=["heisenberg", "spin-glass", "dicke"])
     cnt.add_argument("--n", required=True, help="range lo:hi or comma list")
     cnt.add_argument("--k", type=int)
     cnt.add_argument("--kind")
     cnt.add_argument("--seed", type=int, default=0)
     cnt.add_argument("--format", choices=["csv", "json"], default="csv")
     cnt.add_argument("--baseline", action="store_true",
-                     help="add standard-LCU CNOT counts (heisenberg only)")
+                     help="add the CNOT count of standard LCU for the same Hamiltonian "
+                          "(heisenberg and spin-glass)")
     cnt.add_argument("-o", "--out")
     cnt.set_defaults(func=cmd_counts)
     return ap

@@ -210,18 +210,20 @@ def prepare_double(n: int, kind: str = "single", k: int | None = None,
     return Circuit(2 * n, tuple(gates))
 
 
-# --- the kind registry: builder, closed-form expected state ---
+# --- the kind registry: builder, closed-form state and CNOT count ---
 
 @dataclass(frozen=True)
 class DickeKind:
     """One Dicke preparation kind.
 
     build(n, k, a) returns the circuit (a is None for the balanced state);
-    index(n, k, l) is the basis index of the component weighted by alphas[l].
+    index(n, k, l) is the basis index of the component weighted by alphas[l];
+    cnot(n, k) is the closed-form CNOT-equivalent count of the built circuit.
     """
 
     build: Callable[[int, int | None, AmplitudeList | None], Circuit]
     index: Callable[[int, int | None, int], int]
+    cnot: Callable[[int, int | None], int]
     needs_k: bool
 
 
@@ -234,24 +236,31 @@ def _pair(k: int, l: int) -> int:
 DICKE_KINDS = {
     "d1": DickeKind(
         lambda n, k, a: prepare_dicke1(n) if a is None else prepare_dicke1_unbalanced(n, a),
-        lambda n, k, l: 1 << l, False),
+        lambda n, k, l: 1 << l, lambda n, k: 2 * n - 2, False),
     "d2k": DickeKind(lambda n, k, a: prepare_dicke2k(n, k, a),
-                     lambda n, k, l: _pair(k, l), True),
+                     lambda n, k, l: _pair(k, l), lambda n, k: 3 * n - 3 * k - 2, True),
     "d1d": DickeKind(lambda n, k, a: prepare_double(n, "single", a=a),
-                     lambda n, k, l: (1 << l) | (1 << (n + l)), False),
+                     lambda n, k, l: (1 << l) | (1 << (n + l)), lambda n, k: 3 * n - 2, False),
     "d2kd": DickeKind(lambda n, k, a: prepare_double(n, "pair", k, a),
-                      lambda n, k, l: _pair(k, l) | _pair(k, l) << n, True),
+                      lambda n, k, l: _pair(k, l) | _pair(k, l) << n,
+                      lambda n, k: 4 * n - 3 * k - 2, True),
 }
+
+
+def dicke_kind(kind: str, k: int | None) -> DickeKind:
+    """The registry entry for kind, checked to have the k it needs."""
+    spec = DICKE_KINDS.get(kind)
+    if spec is None:
+        raise DomainError(f"unknown dicke kind {kind!r}")
+    if spec.needs_k and k is None:
+        raise DomainError(f"{kind} needs k")
+    return spec
 
 
 def dicke_state_map(kind: str, n: int, k: int | None = None,
                     a: AmplitudeList | None = None) -> dict[int, complex]:
     """Sparse amplitude map of the target state for each builder kind."""
-    spec = DICKE_KINDS.get(kind)
-    if spec is None:
-        raise DomainError(f"unknown kind {kind!r}")
-    if spec.needs_k and k is None:
-        raise DomainError(f"{kind} needs k")
+    spec = dicke_kind(kind, k)
     m = n - k if spec.needs_k else n
     if a is None:
         amps = [1.0 / math.sqrt(m)] * m

@@ -17,6 +17,7 @@ import numpy as np
 from . import dicke
 from .baseline import generic_state_prep
 from .circuit import (
+    BlockEncoding,
     Circuit,
     Gate,
     cnot,
@@ -41,23 +42,21 @@ _ZERO_DIAG_TOL = 1e-14
 _PHASE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class BlockEncoding:
-    """Circuit + register layout + normalization + post-selection pattern."""
-
-    circuit: Circuit
-    normalization: float
-    postselect: tuple[int, ...]
-
-    @property
-    def layout(self) -> dict[str, tuple[int, int]]:
-        return self.circuit.layout
-
-
 def select_gates(x_base: int, z_base: int, sys_base: int, n: int) -> list[Gate]:
     layer1 = [cnot(x_base + l, sys_base + l) for l in range(n)]
     layer2 = [cz(z_base + l, sys_base + l) for l in range(n)]
     return layer1 + layer2
+
+
+def _assemble(layout, prep_gates, normalization: float) -> BlockEncoding:
+    """PR, then SELECT, then PL-dagger; prep_gates(conjugate) lists the gates
+    of PR (conjugate False) or PL (conjugate True)."""
+    (xb, n), (zb, _), (sb, _) = layout["x_anc"], layout["z_anc"], layout["system"]
+    width = sb + n
+    pr = prep_gates(False)
+    pl = Circuit(width, tuple(prep_gates(True)))
+    gates = tuple(pr) + tuple(select_gates(xb, zb, sb, n)) + dagger(pl).gates
+    return BlockEncoding(Circuit(width, gates, layout), normalization)
 
 
 def select_oracle(n: int) -> Circuit:
@@ -85,11 +84,8 @@ def generic_foqcs(h: PauliSum) -> BlockEncoding:
     for ct in check_decompose(h):
         amps[ct.i | (ct.j << n)] = np.sqrt(ct.alpha_prime / norm)
     layout = {"x_anc": (0, n), "z_anc": (n, n), "system": (2 * n, n)}
-    pr = generic_state_prep(amps)
-    pl = generic_state_prep(np.conj(amps))
-    gates = pr.gates + tuple(select_gates(0, n, 2 * n, n)) + dagger(pl).gates
-    circ = Circuit(3 * n, gates, layout)
-    return BlockEncoding(circ, norm, tuple(range(2 * n)))
+    return _assemble(
+        layout, lambda conj: generic_state_prep(np.conj(amps) if conj else amps).gates, norm)
 
 
 # --- Heisenberg model ---
@@ -182,14 +178,10 @@ def heisenberg_pr(p: HeisenbergParams, compact: bool = True) -> Circuit:
 def heisenberg_encoding(p: HeisenbergParams) -> BlockEncoding:
     """PR, SELECT, PL-dagger over 6+3n qubits; block = H/N."""
     n = p.n
-    xb, zb, sb = 6, 6 + n, 6 + 2 * n
-    layout = {"subpr": (0, 6), "x_anc": (xb, n), "z_anc": (zb, n), "system": (sb, n)}
-    width = 6 + 3 * n
-    pr = _heisenberg_pr_gates(p, xb, zb, False)
-    pl = Circuit(width, tuple(_heisenberg_pr_gates(p, xb, zb, True)))
-    gates = tuple(pr) + tuple(select_gates(xb, zb, sb, n)) + dagger(pl).gates
-    circ = Circuit(width, gates, layout)
-    return BlockEncoding(circ, p.normalization(), tuple(range(sb)))
+    xb, zb = 6, 6 + n
+    layout = {"subpr": (0, 6), "x_anc": (xb, n), "z_anc": (zb, n), "system": (6 + 2 * n, n)}
+    return _assemble(layout, lambda conj: _heisenberg_pr_gates(p, xb, zb, conj),
+                     p.normalization())
 
 
 # --- spin glass model ---
@@ -369,14 +361,10 @@ def spin_glass_pr(p: SpinGlassParams, compressed: bool = True) -> Circuit:
 
 def spin_glass_encoding(p: SpinGlassParams) -> BlockEncoding:
     n = p.n
-    xb, zb, sb = 3 * n, 4 * n, 5 * n
-    layout = {"subpr": (0, 3 * n), "x_anc": (xb, n), "z_anc": (zb, n), "system": (sb, n)}
-    width = 6 * n
-    pr = _spin_glass_pr_gates(p, xb, zb, False)
-    pl = Circuit(width, tuple(_spin_glass_pr_gates(p, xb, zb, True)))
-    gates = tuple(pr) + tuple(select_gates(xb, zb, sb, n)) + dagger(pl).gates
-    circ = Circuit(width, gates, layout)
-    return BlockEncoding(circ, p.normalization(), tuple(range(sb)))
+    xb, zb = 3 * n, 4 * n
+    layout = {"subpr": (0, 3 * n), "x_anc": (xb, n), "z_anc": (zb, n), "system": (5 * n, n)}
+    return _assemble(layout, lambda conj: _spin_glass_pr_gates(p, xb, zb, conj),
+                     p.normalization())
 
 
 # --- general two-body subroutines ---

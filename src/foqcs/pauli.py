@@ -185,7 +185,7 @@ def success_probability(h: PauliSum, phi: np.ndarray) -> float:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if phi.shape[0] != 2**h.n:
         raise DomainError(f"state dimension {phi.shape[0]} != 2^{h.n}")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(phi) - 1.0) <= 1e-10:  # NaN fails too
         raise DomainError("state is not normalized")
     norm = one_norm(h)
     if norm == 0.0:

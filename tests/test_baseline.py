@@ -30,6 +30,11 @@ def test_state_prep_random():
         generic_state_prep(np.array([1.0, 1.0]))
 
 
+def test_state_prep_rejects_nan():
+    with pytest.raises(DomainError):
+        generic_state_prep(np.array([np.nan, 0.0]))
+
+
 def test_state_prep_sparse():
     rng = np.random.default_rng(41)
     v = np.zeros(16, complex)
@@ -41,7 +46,7 @@ def test_state_prep_sparse():
 def test_single_term_lcu():
     h = PauliSum(2, [PauliTerm(0.8, "XZ")])
     be = standard_lcu(h)
-    assert be.anc_count == 0
+    assert be.postselect == ()
     rep = extract_block(be, hamiltonian_matrix(h) / 0.8)
     assert rep.max_abs_error < 1e-12
     # complex coefficient needs its phase
@@ -58,7 +63,7 @@ def test_lcu_block_identity():
         be = standard_lcu(h)
         rep = extract_block(be, hamiltonian_matrix(h) / one_norm(h))
         assert rep.max_abs_error < 1e-10
-        assert be.anc_count == 4 + 3  # M = 6n-3 -> c = 4 index + 3 work ancillae
+        assert be.postselect == tuple(range(4 + 3))  # M = 6n-3 -> c = 4 index + 3 work ancillae
 
 
 def test_lcu_count_monotone_in_terms():
@@ -78,3 +83,13 @@ def test_lcu_vs_foqcs_ratio_small():
     b = count(standard_lcu(heisenberg_hamiltonian(p)).circuit).cnot_equivalent
     f = count(heisenberg_encoding(p).circuit).cnot_equivalent
     assert b > f
+
+
+def test_lcu_postselects_work_ancillae():
+    # The index register and the Toffoli-chain work ancillae all return to |0>.
+    h = heisenberg_hamiltonian(HeisenbergParams(2, 0.9, -0.7, 0.8, 0.6, -0.5, 0.4))
+    be = standard_lcu(h)
+    assert be.layout["prep_anc"] == (0, 4) and be.layout["work_anc"] == (4, 3)
+    assert be.postselect == tuple(range(7))
+    rep = extract_block(be, hamiltonian_matrix(h) / one_norm(h))
+    assert rep.max_abs_error < 1e-10

@@ -188,3 +188,49 @@ def test_dicke_kinds_resolve_through_one_table(capsys):
         assert "unknown dicke kind" in capsys.readouterr().err
     assert main(["verify", "dicke", "--kind", "d2kdu", "--n", "4", "--k", "1",
                  "--alphas", "[[1, 0], [0, 1], [0.5, 0.5]]"]) == 0
+
+
+@pytest.mark.parametrize("model, spec", [
+    ("generic", {"n": 2, "terms": [{"coeff": ["0.5", 0], "ops": "XZ"}]}),
+    ("generic", {"n": 2, "terms": [{"coeff": [0.5], "ops": "XZ"}]}),
+    ("spin-glass", {"n": 2, "g": [[0.5, -0.25], [0.3, 0.4], [0.1, 0.9]], "J": 5}),
+    ("heisenberg", [2, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]),
+], ids=["string-coeff", "short-coeff", "scalar-J", "list-spec"])
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, model, spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main(["verify", model, "--spec", str(f)]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
+def test_malformed_alphas_is_an_input_error(capsys):
+    assert main(["verify", "dicke", "--kind", "d1u", "--n", "2",
+                 "--alphas", '[["a", "b"], [1, 0]]']) == 1
+    assert "malformed alphas" in capsys.readouterr().err
+
+
+def test_counts_dicke_k_zero_is_rejected(capsys):
+    assert main(["counts", "dicke", "--kind", "d2k", "--n", "2:4", "--k", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_counts_dicke_baseline_is_rejected(capsys):
+    assert main(["counts", "dicke", "--kind", "d2k", "--n", "2:4", "--baseline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spin model" in captured.err
+
+
+def test_counts_spin_glass_baseline(capsys):
+    assert main(["counts", "spin-glass", "--n", "2:4", "--baseline"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        cells = row.split(",")
+        assert int(cells[8]) > int(cells[5])  # baseline_cnot > cnot_actual
+
+
+def test_counts_has_no_baseline_model():
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "baseline", "--n", "2:4"])
+    assert exc.value.code == 2

@@ -206,3 +206,12 @@ def test_registry_builds_match_closed_form():
                 for a in (None, random_amplitudes(rng, m)):
                     r = assert_state(spec.build(n, k, a), dicke_state_map(kind, n, k, a))
                     assert r.ok, (kind, n, k, a is None, r.max_abs_error)
+
+
+def test_registry_cnot_counts_match_builds():
+    # The literal closed forms sit in test_predict_formulas and criterion 3;
+    # this ties each registry entry's formula to its own builder.
+    for spec in DICKE_KINDS.values():
+        for n in range(2, 9):
+            for k in range(1, n) if spec.needs_k else [None]:
+                assert spec.cnot(n, k) == count(spec.build(n, k, None)).cnot_equivalent

@@ -339,13 +339,13 @@ def test_lowered_encodings_still_encode():
     rng = np.random.default_rng(24)
     p = random_heisenberg(3, rng)
     be = heisenberg_encoding(p)
-    low = BlockEncoding(lower(be.circuit), be.normalization, be.postselect)
+    low = BlockEncoding(lower(be.circuit), be.normalization)
     h = heisenberg_hamiltonian(p)
     rep = extract_block(low, hamiltonian_matrix(h) / one_norm(h))
     assert rep.max_abs_error < 1e-10
     q = random_spin_glass(2, rng)
     be = spin_glass_encoding(q)
-    low = BlockEncoding(lower(be.circuit), be.normalization, be.postselect)
+    low = BlockEncoding(lower(be.circuit), be.normalization)
     h = spin_glass_hamiltonian(q)
     rep = extract_block(low, hamiltonian_matrix(h) / one_norm(h))
     assert rep.max_abs_error < 1e-10
@@ -364,3 +364,23 @@ def test_per_oracle_count_breakdown():
         cr = count(spin_glass_pr(random_spin_glass(n, rng)))
         assert 12 * n * n + 11 * n - 10 <= cr.cnot_equivalent <= 15 * n * n + 14 * n - 10
         assert cr.toffoli == n * n
+
+
+def test_every_encoder_returns_one_block_encoding_type():
+    # Every ancilla below the system register is post-selected on |0>.
+    import foqcs
+    from foqcs import circuit, encoder
+    from foqcs.baseline import standard_lcu
+
+    assert foqcs.BlockEncoding is encoder.BlockEncoding is circuit.BlockEncoding
+    rng = np.random.default_rng(25)
+    h = PauliSum(2, [PauliTerm(0.5, "XZ"), PauliTerm(-0.3, "YY")])
+    cases = [
+        (heisenberg_encoding(random_heisenberg(2, rng)), 6 + 2 * 2),
+        (spin_glass_encoding(random_spin_glass(2, rng)), 5 * 2),
+        (generic_foqcs(h), 2 * 2),
+        (standard_lcu(h), 1),
+    ]
+    for be, n_anc in cases:
+        assert type(be) is circuit.BlockEncoding
+        assert be.postselect == tuple(range(n_anc))

@@ -130,6 +130,12 @@ def test_success_probability_rejects_non_hermitian():
         success_probability(h, np.array([1.0, 0.0]))
 
 
+def test_success_probability_rejects_nan_state():
+    h = PauliSum(1, [PauliTerm(1.0, "Z")])
+    with pytest.raises(DomainError):
+        success_probability(h, np.array([np.nan, 0.0]))
+
+
 def test_json_round_trip():
     h = PauliSum(2, [PauliTerm(0.5 - 0.25j, "XZ"), PauliTerm(1.0, "YI")])
     d = h.to_dict()

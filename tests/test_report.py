@@ -78,3 +78,14 @@ def test_spin_glass_bounds_up_to_12():
             rep = count_circ(spin_glass_encoding(p).circuit)
             assert lo <= rep.cnot_equivalent <= hi
             assert rep.toffoli == 2 * n * n
+
+
+def test_sweep_baseline_serves_both_spin_models():
+    for model in ("heisenberg", "spin_glass"):
+        rows = sweep(model, [2, 3], seed=4, include_baseline=True)
+        assert all(r.baseline_cnot > r.actual.cnot_equivalent for r in rows)
+    assert all(r.baseline_cnot is None for r in sweep("spin_glass", [2, 3], seed=4))
+    with pytest.raises(DomainError):
+        sweep("d1", [3], include_baseline=True)
+    with pytest.raises(DomainError):
+        sweep("baseline", [3])

@@ -114,7 +114,7 @@ def test_extract_block_suffix_every_kind():
                   cgamma(float(rng.uniform(-np.pi, np.pi)), 1, 4, 0)]
         circ = Circuit(5, tuple(prefix + middle + _every_kind(rng, [0, 1, 2])), layout)
         ref = _per_column_block(circ)
-        rep = extract_block(BlockEncoding(circ, 1.0, ()), ref)
+        rep = extract_block(BlockEncoding(circ, 1.0), ref)
         assert rep.max_abs_error < 1e-13
         np.testing.assert_allclose(rep.postselect_probability,
                                    np.sum(np.abs(ref) ** 2, axis=0), atol=1e-13)
@@ -128,7 +128,7 @@ def test_extract_block_no_system_gate():
     circ = Circuit(5, tuple(_every_kind(rng, [0, 1, 2])), {"system": (3, 2)})
     ref = _per_column_block(circ)
     np.testing.assert_allclose(ref, ref[0, 0] * np.eye(4), atol=1e-14)
-    rep = extract_block(BlockEncoding(circ, 1.0, ()), ref)
+    rep = extract_block(BlockEncoding(circ, 1.0), ref)
     assert rep.max_abs_error < 1e-13
 
 
