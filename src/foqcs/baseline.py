@@ -18,7 +18,7 @@ from .circuit import (
     Gate,
     cnot,
     cz,
-    dagger,
+    dagger_gates,
     phase,
     rz,
     s,
@@ -194,7 +194,6 @@ def standard_lcu(h: PauliSum) -> BlockEncoding:
         gates += reversed(chain)
         gates += flips
 
-    pl = Circuit(width, tuple(state_prep_gates(np.conj(amps), anc)))
-    gates += dagger(pl).gates
+    gates += dagger_gates(state_prep_gates(np.conj(amps), anc))
     circ = Circuit(width, tuple(gates), layout)
     return BlockEncoding(circ, norm)

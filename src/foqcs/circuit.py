@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -342,13 +343,29 @@ def lower(c: Circuit) -> Circuit:
     return Circuit(c.width, tuple(out), c.layout)
 
 
+def _lowered_cost(kind: str) -> tuple[int, int]:
+    """(two-qubit, single-qubit) gates in the lowering of one gate of kind.
+
+    Every lowering has a length that does not depend on the angle, so one
+    exemplar gate per kind gives the exact cost of every gate of that kind.
+    """
+    arity, angled = GATE_KINDS[kind]
+    lowered = _lower_gate(Gate(kind, tuple(range(arity)), 1.0 if angled else None))
+    two = sum(1 for g in lowered if g.kind in _RAW_TWO_QUBIT)
+    return two, len(lowered) - two
+
+
+# kind -> (two_qubit, single_qubit) gates once lowered, read off _lower_gate.
+_LOWERED_COST = {kind: _lowered_cost(kind) for kind in GATE_KINDS}
+
+
 @dataclass(frozen=True)
 class CountReport:
     """Gate accounting.
 
     toffoli/crz/cphase are composite counts of the circuit as built (cry is
-    folded into crz); cnot_equivalent and single_qubit are counted after
-    lowering, with CZ worth one CNOT.
+    folded into crz); cnot_equivalent and single_qubit are the gates the
+    circuit would have after lowering, with CZ worth one CNOT.
     """
 
     cnot_equivalent: int
@@ -359,13 +376,16 @@ class CountReport:
 
 
 def count(c: Circuit) -> CountReport:
-    tof = sum(1 for g in c.gates if g.kind == "toffoli")
-    r = sum(1 for g in c.gates if g.kind in ("crz", "cry"))
-    p = sum(1 for g in c.gates if g.kind == "cphase")
-    lowered = lower(c)
-    two = sum(1 for g in lowered.gates if g.kind in _RAW_TWO_QUBIT)
-    single = len(lowered.gates) - two
-    return CountReport(two, tof, r, p, single)
+    """Tally the gates by kind and sum each kind's lowered cost; the circuit
+    itself is never lowered."""
+    tally = Counter(g.kind for g in c.gates)
+    two = single = 0
+    for kind, n in tally.items():
+        cost_two, cost_single = _LOWERED_COST[kind]
+        two += n * cost_two
+        single += n * cost_single
+    return CountReport(two, tally["toffoli"], tally["crz"] + tally["cry"], tally["cphase"],
+                       single)
 
 
 _DAGGER_SELF = frozenset({"x", "h", "cnot", "cz", "toffoli"})
@@ -388,12 +408,18 @@ def _dagger_gate(g: Gate) -> list[Gate]:
     raise DomainError(f"no adjoint for {g.kind}; lower it first")
 
 
-def dagger(c: Circuit) -> Circuit:
-    """Exact adjoint circuit (rejects cgamma, whose lowering is contextual)."""
+def dagger_gates(gates) -> list[Gate]:
+    """Exact adjoint of a gate sequence (rejects cgamma, whose lowering is
+    contextual)."""
     out: list[Gate] = []
-    for g in reversed(c.gates):
+    for g in reversed(gates):
         out.extend(_dagger_gate(g))
-    return Circuit(c.width, tuple(out), c.layout)
+    return out
+
+
+def dagger(c: Circuit) -> Circuit:
+    """Exact adjoint circuit; see dagger_gates."""
+    return Circuit(c.width, tuple(dagger_gates(c.gates)), c.layout)
 
 
 # --- OpenQASM 2.0 ---

@@ -115,6 +115,8 @@ def _dicke_request(kind: str, n: int, k: int | None, alphas) -> tuple:
     unbalanced = kind.endswith("u")
     base = kind[:-1] if unbalanced else kind
     spec = dicke_kind(base, k)
+    if alphas is not None and not unbalanced:
+        raise DomainError(f"{kind} is balanced and takes no alphas (use {kind}u)")
     a = None
     if unbalanced:
         if alphas is None:
@@ -176,7 +178,10 @@ def cmd_verify(args) -> int:
 def _parse_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ns = list(range(int(lo), int(hi) + 1))
+        if not ns:
+            raise DomainError(f"empty range {text!r}")
+        return ns
     return [int(v) for v in text.split(",")]
 
 
@@ -184,6 +189,8 @@ def cmd_counts(args) -> int:
     model = args.model.replace("-", "_")
     if model == "dicke":
         model = args.kind or "d1"
+    elif args.kind is not None:
+        raise DomainError(f"--kind applies to dicke, not {args.model}")
     rows = report_mod.sweep(model, _parse_range(args.n), seed=args.seed,
                             k=args.k, include_baseline=args.baseline)
     text = report_mod.rows_to_csv(rows) if args.format == "csv" else report_mod.rows_to_json(rows)

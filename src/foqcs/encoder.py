@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dicke
-from .baseline import generic_state_prep
+from .baseline import state_prep_gates
 from .circuit import (
     BlockEncoding,
     Circuit,
@@ -25,7 +25,7 @@ from .circuit import (
     cphase,
     crz,
     cz,
-    dagger,
+    dagger_gates,
     gamma,
     h,
     remap,
@@ -54,8 +54,8 @@ def _assemble(layout, prep_gates, normalization: float) -> BlockEncoding:
     (xb, n), (zb, _), (sb, _) = layout["x_anc"], layout["z_anc"], layout["system"]
     width = sb + n
     pr = prep_gates(False)
-    pl = Circuit(width, tuple(prep_gates(True)))
-    gates = tuple(pr) + tuple(select_gates(xb, zb, sb, n)) + dagger(pl).gates
+    gates = (tuple(pr) + tuple(select_gates(xb, zb, sb, n))
+             + tuple(dagger_gates(prep_gates(True))))
     return BlockEncoding(Circuit(width, gates, layout), normalization)
 
 
@@ -84,8 +84,9 @@ def generic_foqcs(h: PauliSum) -> BlockEncoding:
     for ct in check_decompose(h):
         amps[ct.i | (ct.j << n)] = np.sqrt(ct.alpha_prime / norm)
     layout = {"x_anc": (0, n), "z_anc": (n, n), "system": (2 * n, n)}
+    anc = list(range(2 * n))
     return _assemble(
-        layout, lambda conj: generic_state_prep(np.conj(amps) if conj else amps).gates, norm)
+        layout, lambda conj: state_prep_gates(np.conj(amps) if conj else amps, anc), norm)
 
 
 # --- Heisenberg model ---

@@ -66,26 +66,28 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
     include_baseline, each spin-model row also counts standard_lcu of the
     same Hamiltonian.
     """
-    if include_baseline and model in DICKE_KINDS:
+    spec = DICKE_KINDS.get(model)
+    if spec is None and model not in ("heisenberg", "spin_glass"):
+        raise DomainError(f"unknown model {model!r}")
+    if include_baseline and spec is not None:
         raise DomainError("the standard-LCU baseline needs a spin model, not a Dicke kind")
+    if k is not None and (spec is None or not spec.needs_k):
+        raise DomainError(f"{model} takes no k")
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
-        if model == "heisenberg":
-            p = random_heisenberg(n, rng)
-            encode, hamiltonian = heisenberg_encoding, heisenberg_hamiltonian
-        elif model == "spin_glass":
-            p = random_spin_glass(n, rng)
-            encode, hamiltonian = spin_glass_encoding, spin_glass_hamiltonian
-        elif model in DICKE_KINDS:
-            spec = DICKE_KINDS[model]
+        if spec is not None:
             ks = ([k] if k is not None else range(1, n)) if spec.needs_k else [None]
             for kk in ks:
                 actual = count(spec.build(n, kk, None))
                 rows.append(CountRow(model, n, kk, predict(model, n, kk), actual))
             continue
+        if model == "heisenberg":
+            p = random_heisenberg(n, rng)
+            encode, hamiltonian = heisenberg_encoding, heisenberg_hamiltonian
         else:
-            raise DomainError(f"unknown model {model!r}")
+            p = random_spin_glass(n, rng)
+            encode, hamiltonian = spin_glass_encoding, spin_glass_hamiltonian
         actual = count(encode(p).circuit)
         base = None
         if include_baseline:

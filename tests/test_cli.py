@@ -234,3 +234,23 @@ def test_counts_has_no_baseline_model():
     with pytest.raises(SystemExit) as exc:
         main(["counts", "baseline", "--n", "2:4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counts", "dicke", "--kind", "d1", "--n", "2:3", "--k", "5"], "d1 takes no k"),
+    (["counts", "heisenberg", "--n", "2:3", "--kind", "d2k"], "--kind applies to dicke"),
+    (["verify", "dicke", "--kind", "d1", "--n", "3", "--alphas", "[[1, 0], [0, 1], [1, 1]]"],
+     "takes no alphas"),
+], ids=["counts-k-without-needs-k", "counts-kind-with-spin-model", "verify-alphas-balanced"])
+def test_flag_the_model_does_not_use_is_rejected(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_counts_empty_range_is_rejected(capsys):
+    assert main(["counts", "heisenberg", "--n", "5:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty range" in captured.err

@@ -89,3 +89,12 @@ def test_sweep_baseline_serves_both_spin_models():
         sweep("d1", [3], include_baseline=True)
     with pytest.raises(DomainError):
         sweep("baseline", [3])
+
+
+def test_sweep_rejects_k_the_model_does_not_use():
+    for model in ("heisenberg", "spin_glass", "d1", "d1d"):
+        with pytest.raises(DomainError, match="takes no k"):
+            sweep(model, [3], k=1)
+    with pytest.raises(DomainError, match="unknown model"):
+        sweep("d3", [], k=1)
+    assert [r.k for r in sweep("d2k", [4], k=2)] == [2]
