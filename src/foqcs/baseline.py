@@ -18,7 +18,6 @@ from .circuit import (
     Gate,
     cnot,
     cz,
-    dagger_gates,
     phase,
     rz,
     s,
@@ -167,14 +166,12 @@ def standard_lcu(h: PauliSum) -> BlockEncoding:
                 gates.append(phase(math.pi, sys_base + site))
             elif p == "Y":
                 gates += [sdg(sys_base + site), x(sys_base + site), s(sys_base + site)]
-        circ = Circuit(width, tuple(gates), layout)
-        return BlockEncoding(circ, norm)
+        return BlockEncoding(Circuit(width, tuple(gates), layout), norm)
 
     amps = np.zeros(1 << c, dtype=complex)
     for i, t in enumerate(h.terms):
         amps[i] = np.sqrt(t.coefficient / norm)
     anc = list(range(c))
-    gates += state_prep_gates(amps, anc)
 
     for m, term in enumerate(h.terms):
         if set(term.ops) == {"I"}:
@@ -194,6 +191,6 @@ def standard_lcu(h: PauliSum) -> BlockEncoding:
         gates += reversed(chain)
         gates += flips
 
-    gates += dagger_gates(state_prep_gates(np.conj(amps), anc))
-    circ = Circuit(width, tuple(gates), layout)
-    return BlockEncoding(circ, norm)
+    return BlockEncoding(Circuit(width, tuple(gates), layout), norm,
+                         prep=state_prep_gates(amps, anc),
+                         unprep=state_prep_gates(np.conj(amps), anc))

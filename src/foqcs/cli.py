@@ -87,19 +87,24 @@ def _build_encoding(args):
     raise DomainError(f"unknown model {args.model!r}")
 
 
-def cmd_encode(args) -> int:
+def _circuit_to_encode(args) -> tuple:
+    """The flat circuit to export and its meta.json fields. An encoding's own
+    parts are dropped on return, before the circuit is lowered."""
     if args.model == "dicke":
         circ, _ = _dicke_request_from_args(args)
-        meta = {"width": circ.width, "layout": {k: list(v) for k, v in circ.layout.items()}}
-    else:
-        be, _ = _build_encoding(args)
-        circ = be.circuit
-        meta = {
-            "normalization": be.normalization,
-            "layout": {k: list(v) for k, v in be.layout.items()},
-            "postselect": list(be.postselect),
-            "width": circ.width,
-        }
+        return circ, {"width": circ.width,
+                      "layout": {k: list(v) for k, v in circ.layout.items()}}
+    be, _ = _build_encoding(args)
+    return be.circuit, {
+        "normalization": be.normalization,
+        "layout": {k: list(v) for k, v in be.layout.items()},
+        "postselect": list(be.postselect),
+        "width": be.width,
+    }
+
+
+def cmd_encode(args) -> int:
+    circ, meta = _circuit_to_encode(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lowered = lower(circ)
@@ -157,9 +162,8 @@ def cmd_verify(args) -> int:
         return 0 if check.ok else 2
 
     be, h = _build_encoding(args)
-    if be.circuit.width > VERIFY_MAX_WIDTH:
-        raise ResourceGuardError(
-            f"width {be.circuit.width} over verify cap {VERIFY_MAX_WIDTH}")
+    if be.width > VERIFY_MAX_WIDTH:
+        raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
     tol = 1e-10 if args.tol is None else args.tol
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)

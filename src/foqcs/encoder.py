@@ -25,7 +25,6 @@ from .circuit import (
     cphase,
     crz,
     cz,
-    dagger_gates,
     gamma,
     h,
     remap,
@@ -49,14 +48,11 @@ def select_gates(x_base: int, z_base: int, sys_base: int, n: int) -> list[Gate]:
 
 
 def _assemble(layout, prep_gates, normalization: float) -> BlockEncoding:
-    """PR, then SELECT, then PL-dagger; prep_gates(conjugate) lists the gates
-    of PR (conjugate False) or PL (conjugate True)."""
+    """PR, SELECT and PL; prep_gates(conjugate) lists the gates of PR
+    (conjugate False) or PL (conjugate True)."""
     (xb, n), (zb, _), (sb, _) = layout["x_anc"], layout["z_anc"], layout["system"]
-    width = sb + n
-    pr = prep_gates(False)
-    gates = (tuple(pr) + tuple(select_gates(xb, zb, sb, n))
-             + tuple(dagger_gates(prep_gates(True))))
-    return BlockEncoding(Circuit(width, gates, layout), normalization)
+    select = Circuit(sb + n, tuple(select_gates(xb, zb, sb, n)), layout)
+    return BlockEncoding(select, normalization, prep=prep_gates(False), unprep=prep_gates(True))
 
 
 def select_oracle(n: int) -> Circuit:
@@ -177,7 +173,7 @@ def heisenberg_pr(p: HeisenbergParams, compact: bool = True) -> Circuit:
 
 
 def heisenberg_encoding(p: HeisenbergParams) -> BlockEncoding:
-    """PR, SELECT, PL-dagger over 6+3n qubits; block = H/N."""
+    """PR, SELECT and PL over 6+3n qubits; block = H/N."""
     n = p.n
     xb, zb = 6, 6 + n
     layout = {"subpr": (0, 6), "x_anc": (xb, n), "z_anc": (zb, n), "system": (6 + 2 * n, n)}

@@ -88,10 +88,10 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
         else:
             p = random_spin_glass(n, rng)
             encode, hamiltonian = spin_glass_encoding, spin_glass_hamiltonian
-        actual = count(encode(p).circuit)
+        actual = count(encode(p))
         base = None
         if include_baseline:
-            base = count(standard_lcu(hamiltonian(p)).circuit).cnot_equivalent
+            base = count(standard_lcu(hamiltonian(p))).cnot_equivalent
         rows.append(CountRow(model, n, None, predict(model, n), actual, base))
     return rows
 

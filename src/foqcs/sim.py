@@ -10,10 +10,10 @@ coefficient equal to 1, and copies a slice only when a later row reads it
 after it has been overwritten. A CNOT is then one slice copy and two
 assignments, and a phase gate one in-place scaling of half the amplitudes.
 
-extract_block splits a block encoding at its first and last gate touching the
-system register. The prefix (PR) and the suffix (PL-dagger) act on the
-ancillae alone and run once on 2**sys_start amplitudes; only the middle
-(SELECT) runs at full width, once per system basis column.
+extract_block reads a block encoding's three parts. PR and PL act on the
+ancillae alone, so each runs forward once on 2**sys_start amplitudes; only
+SELECT runs at full width, once per system basis column. PL-dagger is never
+built: <0_anc| PL-dagger is the bra of PL|0_anc>.
 """
 from __future__ import annotations
 
@@ -207,8 +207,12 @@ def run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
         raise DomainError("state dimension does not match circuit width")
     if not amps.flags.c_contiguous:
         raise DomainError("amplitude array must be C-contiguous")
-    for g in circuit.gates:
-        _apply_unitary(amps, gate_unitary(g), g.qubits, circuit.width)
+    return _run_gates(circuit.gates, amps, circuit.width)
+
+
+def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
+    for g in gates:
+        _apply_unitary(amps, gate_unitary(g), g.qubits, width)
     return amps
 
 
@@ -247,43 +251,30 @@ class BlockReport:
 
 
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
-    """Read off <0_anc| U |0_anc> on the system register, column by column.
+    """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register,
+    column by column.
 
-    The gates are cut at the first (lo) and one past the last (hi) gate that
-    touches a system qubit. Outside [lo, hi) the state factors as
-    (ancilla vector) x |b>, so
-      - the prefix gates[:lo] run once on |0_anc>, giving v;
-      - the suffix S = gates[hi:] runs once, in reverse and
-        conjugate-transposed, on |0_anc>, giving w = S^dagger |0_anc>;
-      - the middle gates[lo:hi] run on v x |b> for each system basis input b,
-        and column b of the block is <w| contracted over the ancillae.
+    PR and PL act on the ancillae alone, so
+      - v = PR|0_anc> and w = PL|0_anc> each run forward once on the
+        2**sys_start ancilla amplitudes;
+      - SELECT runs on v x |b> for each system basis input b, and column b of
+        the block is that state contracted with the bra <w| = <0_anc| PL-dagger
+        over the ancillae.
     The per-input post-selection probability is the squared norm of column b.
     """
-    circ = be.circuit
-    if circ.width > max_width():
-        raise ResourceGuardError(f"width {circ.width} exceeds simulator cap {max_width()}")
-    sys_start, n = circ.layout["system"]
-    if sys_start + n != circ.width:
-        raise DomainError("system register must occupy the top qubits")
-    gates = circ.gates
-    touching = [i for i, g in enumerate(gates) if max(g.qubits) >= sys_start]
-    lo, hi = (touching[0], touching[-1] + 1) if touching else (len(gates), len(gates))
-    v = StateVector.zero(sys_start).amps
-    for g in gates[:lo]:
-        _apply_unitary(v, gate_unitary(g), g.qubits, sys_start)
-    w = StateVector.zero(sys_start).amps
-    for g in reversed(gates[hi:]):
-        _apply_unitary(w, gate_unitary(g).conj().T, g.qubits, sys_start)
-    w_bra = w.conj()
+    if be.width > max_width():
+        raise ResourceGuardError(f"width {be.width} exceeds simulator cap {max_width()}")
+    sys_start, n = be.layout["system"]
+    v = _run_gates(be.prep, StateVector.zero(sys_start).amps, sys_start)
+    w_bra = _run_gates(be.unprep, StateVector.zero(sys_start).amps, sys_start).conj()
     dim = 1 << n
     block = np.empty((dim, dim), dtype=complex)
-    amps = np.empty(1 << circ.width, dtype=complex)
+    amps = np.empty(1 << be.width, dtype=complex)
     rows = amps.reshape(dim, 1 << sys_start)
     for b in range(dim):
         amps.fill(0.0)
         rows[b] = v
-        for g in gates[lo:hi]:
-            _apply_unitary(amps, gate_unitary(g), g.qubits, circ.width)
+        _run_gates(be.select.gates, amps, be.width)
         block[:, b] = rows @ w_bra
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))

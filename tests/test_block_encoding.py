@@ -1,0 +1,162 @@
+"""The three-part BlockEncoding: PR, SELECT and PL kept apart, never PL-dagger."""
+import json
+
+import numpy as np
+import pytest
+
+from foqcs import baseline, cli, encoder, report, sim
+from foqcs import circuit as circuit_mod
+from foqcs.baseline import standard_lcu
+from foqcs.circuit import (
+    GATE_KINDS,
+    BlockEncoding,
+    Circuit,
+    Gate,
+    cgamma,
+    cnot,
+    count,
+    dagger_gates,
+    gamma,
+    h,
+    lower,
+    ry,
+)
+from foqcs.encoder import (
+    generic_foqcs,
+    heisenberg_encoding,
+    heisenberg_pr,
+    spin_glass_encoding,
+    spin_glass_pr,
+)
+from foqcs.errors import DomainError
+from foqcs.models import (
+    HeisenbergParams,
+    heisenberg_hamiltonian,
+    random_heisenberg,
+    random_spin_glass,
+)
+from foqcs.pauli import PauliSum, PauliTerm
+from foqcs.sim import extract_block
+from tests.test_encoder import random_pauli_sum
+
+ANGLES = (0.0, 1.234, -2.9, np.pi)
+
+
+def _encodings(rng):
+    """Every encoder on random parameters, the single-term baseline included."""
+    out = []
+    for n in (2, 3, 5):
+        p = random_heisenberg(n, rng)
+        out += [heisenberg_encoding(p), standard_lcu(heisenberg_hamiltonian(p))]
+    out.append(heisenberg_encoding(HeisenbergParams(4, 0.7, 0.0, -0.3, 0.0, 1.1, 0.0)))
+    for n in (2, 3, 4):
+        out.append(spin_glass_encoding(random_spin_glass(n, rng)))
+    for n in (1, 2, 3):
+        hs = random_pauli_sum(rng, n, hermitian=True)
+        out += [generic_foqcs(hs), standard_lcu(hs)]
+    out.append(standard_lcu(PauliSum(2, [PauliTerm(-0.4j, "YZ")])))
+    return out
+
+
+def test_count_of_encoding_equals_count_of_flat_circuit():
+    rng = np.random.default_rng(601)
+    for be in _encodings(rng):
+        assert count(be) == count(be.circuit)
+
+
+@pytest.mark.parametrize("kind", sorted(set(GATE_KINDS) - {"cgamma"}))
+def test_adjoint_has_the_lowered_cost_of_the_gate(kind):
+    arity, angled = GATE_KINDS[kind]
+    for angle in ANGLES if angled else (None,):
+        g = Gate(kind, tuple(range(arity))[::-1], angle)
+        assert count(Circuit(3, tuple(dagger_gates([g])))) == count(Circuit(3, (g,)))
+
+
+def test_encoding_prep_is_the_pr_oracle():
+    rng = np.random.default_rng(602)
+    for n in (2, 3, 6):
+        p = random_heisenberg(n, rng)
+        assert heisenberg_encoding(p).prep == heisenberg_pr(p).gates
+    for n in (2, 4):
+        q = random_spin_glass(n, rng)
+        assert spin_glass_encoding(q).prep == spin_glass_pr(q).gates
+
+
+def test_flat_circuit_is_prep_select_then_unprep_adjoint():
+    be = heisenberg_encoding(random_heisenberg(3, np.random.default_rng(603)))
+    c = be.circuit
+    assert c.width == be.width and c.layout == be.layout
+    assert c.gates == be.prep + be.select.gates + tuple(dagger_gates(be.unprep))
+
+
+@pytest.mark.parametrize("name", ["heisenberg2", "heisenberg3", "spin_glass2", "standard_lcu"])
+def test_three_part_block_equals_lowered_flat_block(name):
+    rng = np.random.default_rng(604)
+    build = {
+        "heisenberg2": lambda: heisenberg_encoding(random_heisenberg(2, rng)),
+        "heisenberg3": lambda: heisenberg_encoding(random_heisenberg(3, rng)),
+        "spin_glass2": lambda: spin_glass_encoding(random_spin_glass(2, rng)),
+        "standard_lcu": lambda: standard_lcu(heisenberg_hamiltonian(random_heisenberg(2, rng))),
+    }
+    be = build[name]()
+    flat = BlockEncoding(lower(be.circuit), be.normalization)
+    assert flat.prep == flat.unprep == ()
+    ref = extract_block(flat).block
+    rep = extract_block(be, ref)
+    assert rep.max_abs_error < 1e-13
+
+
+LAYOUT = {"anc": (0, 3), "system": (3, 2)}
+
+
+def _select(gates=()):
+    return Circuit(5, tuple(gates), LAYOUT)
+
+
+@pytest.mark.parametrize("part", ["prep", "unprep"])
+@pytest.mark.parametrize("gate", [cnot(0, 3), ry(0.3, 4), gamma(0.2, 2, 3), ry(0.3, -1)])
+def test_ancilla_part_off_the_ancillae_is_rejected(part, gate):
+    with pytest.raises(DomainError, match=f"{part} gate .* ancillae below the system"):
+        BlockEncoding(_select(), 1.0, **{part: [h(0), gate]})
+
+
+def test_cgamma_is_rejected_in_unprep_only():
+    g = cgamma(0.4, 0, 1, 2)
+    BlockEncoding(_select(), 1.0, prep=[g])
+    with pytest.raises(DomainError, match="cgamma"):
+        BlockEncoding(_select(), 1.0, unprep=[h(0), g])
+
+
+def test_parts_must_agree_on_the_width():
+    with pytest.raises(DomainError, match="top qubits"):
+        BlockEncoding(Circuit(6, (), LAYOUT), 1.0)
+    with pytest.raises(DomainError, match="system"):
+        BlockEncoding(Circuit(5, (), {"anc": (0, 3)}), 1.0)
+
+
+def test_no_module_binds_its_own_adjoint():
+    # So patching foqcs.circuit.dagger_gates below reaches every caller.
+    for mod in (baseline, cli, encoder, report, sim):
+        assert not hasattr(mod, "dagger_gates"), mod.__name__
+
+
+def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, capsys):
+    def boom(*args):
+        raise AssertionError("PL-dagger or the flat circuit was built")
+
+    monkeypatch.setattr(circuit_mod, "dagger_gates", boom)
+    monkeypatch.setattr(BlockEncoding, "circuit", property(boom))
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({"n": 2, "terms": [{"coeff": [0.5, 0], "ops": "XZ"},
+                                                  {"coeff": [-0.3, 0], "ops": "YY"}]}))
+    for argv in (["counts", "heisenberg", "--n", "2:6", "--baseline"],
+                 ["counts", "spin-glass", "--n", "2:4", "--baseline"],
+                 ["verify", "heisenberg", "--n", "3", "--seed", "1"],
+                 ["verify", "spin-glass", "--n", "2", "--seed", "1"],
+                 ["verify", "generic", "--spec", str(spec)]):
+        assert cli.main(argv) == 0, argv
+    # Width 6 + 3 * 6 = 24 is over the verify cap, read off the encoding.
+    assert cli.main(["verify", "heisenberg", "--n", "6"]) == 3
+    # encode does export the flat circuit, so the patch is live.
+    with pytest.raises(AssertionError):
+        cli.main(["encode", "heisenberg", "--n", "2", "-o", str(tmp_path / "enc")])

@@ -257,3 +257,17 @@ def test_gate_angle_must_be_finite_number():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(DomainError):
             parse_qasm(qasm.format(bad))
+
+
+@pytest.mark.parametrize("bad, text", [
+    (cnot(-1, 2), "gate cnot(-1, 2) out of range for width 3"),
+    (cnot(0, 3), "gate cnot(0, 3) out of range for width 3"),
+    (toffoli(3, 0, -2), "gate toffoli(3, 0, -2) out of range for width 3"),
+])
+@pytest.mark.parametrize("before", [1, 1023])  # 1023: the last gate of a 512-gate chunk
+def test_circuit_range_error_names_the_first_bad_gate(bad, text, before):
+    ok = (h(0),) * (before - 1) + (cnot(0, 2),)
+    with pytest.raises(DomainError) as e:
+        Circuit(3, ok + (bad, x(7)) + ok)
+    assert str(e.value) == text
+    Circuit(3, ok + (toffoli(2, 1, 0),) + ok)

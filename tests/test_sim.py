@@ -99,22 +99,26 @@ def _every_kind(rng, qubits):
     return out
 
 
-def test_extract_block_suffix_every_kind():
-    # Ancillae 0..2, system 3..4. Every gate kind, gamma and cgamma included,
-    # sits after the last system gate, so it runs in the conjugated suffix.
-    from foqcs.encoder import BlockEncoding
+def test_extract_block_every_kind_in_prep_and_unprep():
+    # Ancillae 0..2, system 3..4. Every gate kind sits in prep and in select,
+    # and every kind with an adjoint (all but cgamma) in unprep; the reference
+    # runs the flat circuit, PL-dagger included, on each column.
+    from foqcs.circuit import BlockEncoding
 
     rng = np.random.default_rng(61)
     layout = {"anc": (0, 3), "system": (3, 2)}
     for _ in range(4):
-        prefix = [h(0), h(1), ry(float(rng.uniform(-np.pi, np.pi)), 2)]
-        prefix += _every_kind(rng, [0, 1, 2])
-        middle = [cnot(0, 3), cz(1, 4), toffoli(0, 2, 4), h(1),
+        prep = [h(0), h(1), ry(float(rng.uniform(-np.pi, np.pi)), 2)]
+        prep += _every_kind(rng, [0, 1, 2])
+        select = [cnot(0, 3), cz(1, 4), toffoli(0, 2, 4), h(1),
                   gamma(float(rng.uniform(-np.pi, np.pi)), 2, 3),
                   cgamma(float(rng.uniform(-np.pi, np.pi)), 1, 4, 0)]
-        circ = Circuit(5, tuple(prefix + middle + _every_kind(rng, [0, 1, 2])), layout)
-        ref = _per_column_block(circ)
-        rep = extract_block(BlockEncoding(circ, 1.0), ref)
+        select += _every_kind(rng, [0, 1, 2, 3, 4])
+        unprep = [h(2), ry(float(rng.uniform(-np.pi, np.pi)), 0)]
+        unprep += [g for g in _every_kind(rng, [0, 1, 2]) if g.kind != "cgamma"]
+        be = BlockEncoding(Circuit(5, tuple(select), layout), 1.0, prep=prep, unprep=unprep)
+        ref = _per_column_block(be.circuit)
+        rep = extract_block(be, ref)
         assert rep.max_abs_error < 1e-13
         np.testing.assert_allclose(rep.postselect_probability,
                                    np.sum(np.abs(ref) ** 2, axis=0), atol=1e-13)
