@@ -19,6 +19,7 @@ from .dicke import AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError, ResourceGuardError
 from .models import (
+    HEISENBERG_FIELDS,
     HeisenbergParams,
     SpinGlassParams,
     heisenberg_hamiltonian,
@@ -30,7 +31,9 @@ from .pauli import PauliSum, hamiltonian_matrix, one_norm
 from .sim import assert_state, extract_block
 
 VERIFY_MAX_WIDTH = 21
-HEISENBERG_FIELDS = ("gx", "gy", "gz", "jx", "jy", "jz")
+# --spec holds the whole model, so it excludes these flags. They default to None
+# (the seed's 0 is filled in where a model is drawn), so an explicit one shows.
+SPEC_EXCLUDES = ("n", "seed", *HEISENBERG_FIELDS, "kind", "k", "alphas")
 
 
 def _log(msg: str) -> None:
@@ -46,77 +49,60 @@ def _from_json(what: str, build, data):
         raise ValueError(f"malformed {what}: {e}") from e
 
 
-def _heisenberg_from_dict(d: dict) -> HeisenbergParams:
-    return HeisenbergParams(int(d["n"]), *(d.get(f, 0.0) for f in HEISENBERG_FIELDS))
+def _spec(args, what: str, build):
+    """build(JSON read from --spec), or None without --spec."""
+    if args.spec is None:
+        return None
+    given = [f"--{f}" for f in SPEC_EXCLUDES if getattr(args, f, None) is not None]
+    if given:
+        raise DomainError(f"--spec excludes {', '.join(given)}")
+    return _from_json(what, build, json.loads(Path(args.spec).read_text()))
 
 
-def _heisenberg_from_args(args) -> HeisenbergParams:
-    if args.spec:
-        return _from_json("heisenberg spec", _heisenberg_from_dict,
-                          json.loads(Path(args.spec).read_text()))
-    if args.n is None:
-        raise DomainError("heisenberg needs --spec or --n")
-    vals = [getattr(args, f) for f in HEISENBERG_FIELDS]
-    if all(v is None for v in vals):
-        return random_heisenberg(args.n, np.random.default_rng(args.seed))
-    return HeisenbergParams(args.n, *(v or 0.0 for v in vals))
+def _heisenberg(args) -> tuple:
+    p = _spec(args, "heisenberg spec", HeisenbergParams.from_dict)
+    if p is None:
+        if args.n is None:
+            raise DomainError("heisenberg needs --spec or --n")
+        vals = [getattr(args, f) for f in HEISENBERG_FIELDS]
+        if all(v is None for v in vals):
+            p = random_heisenberg(args.n, np.random.default_rng(args.seed or 0))
+        else:
+            p = HeisenbergParams(args.n, *(v or 0.0 for v in vals))
+    return heisenberg_encoding(p), heisenberg_hamiltonian(p)
 
 
-def _spin_glass_from_args(args) -> SpinGlassParams:
-    if args.spec:
-        return _from_json("spin-glass spec", SpinGlassParams.from_dict,
-                          json.loads(Path(args.spec).read_text()))
-    if args.n is None:
-        raise DomainError("spin-glass needs --spec or --n")
-    return random_spin_glass(args.n, np.random.default_rng(args.seed))
+def _spin_glass(args) -> tuple:
+    p = _spec(args, "spin-glass spec", SpinGlassParams.from_dict)
+    if p is None:
+        if args.n is None:
+            raise DomainError("spin-glass needs --spec or --n")
+        p = random_spin_glass(args.n, np.random.default_rng(args.seed or 0))
+    return spin_glass_encoding(p), spin_glass_hamiltonian(p)
 
 
-def _build_encoding(args):
-    if args.model == "heisenberg":
-        p = _heisenberg_from_args(args)
-        return heisenberg_encoding(p), heisenberg_hamiltonian(p)
-    if args.model == "spin-glass":
-        p = _spin_glass_from_args(args)
-        return spin_glass_encoding(p), spin_glass_hamiltonian(p)
-    if args.model == "generic":
-        if not args.spec:
-            raise DomainError("generic needs --spec with a Pauli-sum JSON")
-        h = _from_json("Pauli-sum spec", PauliSum.from_dict,
-                       json.loads(Path(args.spec).read_text()))
-        return generic_foqcs(h), h
-    raise DomainError(f"unknown model {args.model!r}")
+def _generic(args) -> tuple:
+    h = _spec(args, "Pauli-sum spec", PauliSum.from_dict)
+    return generic_foqcs(h), h
 
 
-def _circuit_to_encode(args) -> tuple:
-    """The flat circuit to export and its meta.json fields. An encoding's own
-    parts are dropped on return, before the circuit is lowered."""
-    if args.model == "dicke":
-        circ, _ = _dicke_request_from_args(args)
-        return circ, {"width": circ.width,
-                      "layout": {k: list(v) for k, v in circ.layout.items()}}
-    be, _ = _build_encoding(args)
-    return be.circuit, {
-        "normalization": be.normalization,
-        "layout": {k: list(v) for k, v in be.layout.items()},
-        "postselect": list(be.postselect),
-        "width": be.width,
-    }
+def _dicke_fields(d: dict) -> tuple:
+    kind, n, k = str(d["kind"]), int(d["n"]), d.get("k")
+    unknown = sorted(set(d) - {"kind", "n", "k", "alphas"})
+    if unknown:
+        raise ValueError(f"unknown dicke spec keys {unknown}")
+    return kind, n, None if k is None else int(k), d.get("alphas")
 
 
-def cmd_encode(args) -> int:
-    circ, meta = _circuit_to_encode(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lowered = lower(circ)
-    (out / "circuit.qasm").write_text(export_qasm(lowered))
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (out / "circuit.json").write_text(lowered.to_json() + "\n")
-    _log(f"wrote {out}/circuit.qasm, circuit.json, meta.json (width {circ.width})")
-    return 0
-
-
-def _dicke_request(kind: str, n: int, k: int | None, alphas) -> tuple:
-    """A "u" suffix names the amplitude-weighted variant of a registry kind."""
+def _dicke(args) -> tuple:
+    """Flags or a JSON request {"kind", "n", "k", "alphas": [[re,im],...]}.
+    A "u" suffix names the amplitude-weighted variant of a registry kind."""
+    fields = _spec(args, "dicke spec", _dicke_fields)
+    if fields is None:
+        if args.kind is None or args.n is None:
+            raise DomainError("dicke needs --spec or --kind/--n")
+        fields = args.kind, args.n, args.k, json.loads(args.alphas) if args.alphas else None
+    kind, n, k, alphas = fields
     unbalanced = kind.endswith("u")
     base = kind[:-1] if unbalanced else kind
     spec = dicke_kind(base, k)
@@ -131,49 +117,53 @@ def _dicke_request(kind: str, n: int, k: int | None, alphas) -> tuple:
     return spec.build(n, k, a), dicke_state_map(base, n, k, a)
 
 
-def _dicke_fields(d: dict) -> tuple:
-    k = d.get("k")
-    return str(d["kind"]), int(d["n"]), None if k is None else int(k), d.get("alphas")
+def _export(out: str, circ, meta: dict) -> int:
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    lowered = lower(circ)
+    (out / "circuit.qasm").write_text(export_qasm(lowered))
+    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "circuit.json").write_text(lowered.to_json() + "\n")
+    _log(f"wrote {out}/circuit.qasm, circuit.json, meta.json (width {circ.width})")
+    return 0
 
 
-def _dicke_request_from_args(args) -> tuple:
-    """Flags or a JSON request {"kind", "n", "k", "alphas": [[re,im],...]}."""
-    if args.spec:
-        kind, n, k, alphas = _from_json("dicke spec", _dicke_fields,
-                                        json.loads(Path(args.spec).read_text()))
-    else:
-        if args.kind is None or args.n is None:
-            raise DomainError("dicke needs --spec or --kind/--n")
-        kind, n, k = args.kind, args.n, args.k
-        alphas = json.loads(args.alphas) if args.alphas else None
-    return _dicke_request(kind, n, k, alphas)
+def cmd_encode_block(args) -> int:
+    """Export the flat circuit PR, SELECT, PL-dagger."""
+    be, _ = args.request(args)
+    circ, meta = be.circuit, {"normalization": be.normalization, "layout": be.layout,
+                              "postselect": list(be.postselect), "width": be.width}
+    del be  # the encoding's own parts go before the circuit is lowered
+    return _export(args.out, circ, meta)
 
 
-def cmd_verify(args) -> int:
-    if args.model == "dicke":
-        circ, expected = _dicke_request_from_args(args)
-        if circ.width > VERIFY_MAX_WIDTH:
-            raise ResourceGuardError(f"width {circ.width} over verify cap {VERIFY_MAX_WIDTH}")
-        tol = 1e-12 if args.tol is None else args.tol
-        check = assert_state(circ, expected, tol=tol)
-        rep = {"ok": check.ok, "max_abs_error": check.max_abs_error, "tolerance": tol}
-        print(json.dumps(rep, indent=2))
-        _log(f"dicke preparation: max error {check.max_abs_error:.2e}")
-        return 0 if check.ok else 2
+def cmd_encode_state(args) -> int:
+    circ, _ = args.request(args)
+    return _export(args.out, circ, {"width": circ.width, "layout": circ.layout})
 
-    be, h = _build_encoding(args)
+
+def cmd_verify_state(args) -> int:
+    circ, expected = args.request(args)
+    if circ.width > VERIFY_MAX_WIDTH:
+        raise ResourceGuardError(f"width {circ.width} over verify cap {VERIFY_MAX_WIDTH}")
+    tol = 1e-12 if args.tol is None else args.tol
+    check = assert_state(circ, expected, tol=tol)
+    rep = {"ok": check.ok, "max_abs_error": check.max_abs_error, "tolerance": tol}
+    print(json.dumps(rep, indent=2))
+    _log(f"dicke preparation: max error {check.max_abs_error:.2e}")
+    return 0 if check.ok else 2
+
+
+def cmd_verify_block(args) -> int:
+    be, h = args.request(args)
     if be.width > VERIFY_MAX_WIDTH:
         raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
     tol = 1e-10 if args.tol is None else args.tol
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)
-    out = {
-        "ok": bool(rep.max_abs_error <= tol),
-        "max_abs_error": rep.max_abs_error,
-        "tolerance": tol,
-        "normalization": be.normalization,
-        "postselect_probability": rep.postselect_probability.tolist(),
-    }
+    out = {"ok": bool(rep.max_abs_error <= tol), "max_abs_error": rep.max_abs_error,
+           "tolerance": tol, "normalization": be.normalization,
+           "postselect_probability": rep.postselect_probability.tolist()}
     print(json.dumps(out, indent=2))
     _log(f"{args.model}: block error {rep.max_abs_error:.2e} (tol {tol:g})")
     return 0 if rep.max_abs_error <= tol else 2
@@ -190,12 +180,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_counts(args) -> int:
-    model = args.model.replace("-", "_")
-    if model == "dicke":
-        model = args.kind or "d1"
-    elif args.kind is not None:
-        raise DomainError(f"--kind applies to dicke, not {args.model}")
-    rows = report_mod.sweep(model, _parse_range(args.n), seed=args.seed,
+    rows = report_mod.sweep(args.sweep, _parse_range(args.n), seed=args.seed,
                             k=args.k, include_baseline=args.baseline)
     text = report_mod.rows_to_csv(rows) if args.format == "csv" else report_mod.rows_to_json(rows)
     if args.out:
@@ -206,44 +191,53 @@ def cmd_counts(args) -> int:
     return 0
 
 
+BLOCK = {"encode": cmd_encode_block, "verify": cmd_verify_block}
+STATE = {"encode": cmd_encode_state, "verify": cmd_verify_state}
+# model: (request, the flags it reads besides --spec, its command functions)
+MODELS = {
+    "heisenberg": (_heisenberg, ("n", "seed", *HEISENBERG_FIELDS), BLOCK),
+    "spin-glass": (_spin_glass, ("n", "seed"), BLOCK),
+    "generic": (_generic, (), BLOCK),
+    "dicke": (_dicke, ("kind", "n", "k", "alphas"), STATE),
+}
+FLAG_TYPES = {"n": int, "seed": int, "k": int, **dict.fromkeys(HEISENBERG_FIELDS, float)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="foqcs",
                                  description="Block-encoding synthesis, verification, and counting")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_model_args(p):
-        p.add_argument("model", choices=["heisenberg", "spin-glass", "generic", "dicke"])
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--kind")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--spec")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--alphas")
-        for name in HEISENBERG_FIELDS:
-            p.add_argument(f"--{name}", type=float)
-
-    enc = sub.add_parser("encode", help="write lowered QASM + layout metadata")
-    add_model_args(enc)
-    enc.add_argument("-o", "--out", required=True)
-    enc.set_defaults(func=cmd_encode)
-
-    ver = sub.add_parser("verify", help="simulate and check against the exact matrix")
-    add_model_args(ver)
-    ver.set_defaults(func=cmd_verify)
+    for command, help_ in (("encode", "write lowered QASM + layout metadata"),
+                           ("verify", "simulate and check against the exact matrix")):
+        models = sub.add_parser(command, help=help_).add_subparsers(dest="model", required=True)
+        for model, (request, flags, funcs) in MODELS.items():
+            p = models.add_parser(model)
+            p.add_argument("--spec", required=not flags)  # generic reads nothing else
+            for f in flags:
+                p.add_argument(f"--{f}", type=FLAG_TYPES.get(f))
+            if command == "encode":
+                p.add_argument("-o", "--out", required=True)
+            else:
+                p.add_argument("--tol", type=float)
+            p.set_defaults(func=funcs[command], request=request)
 
     cnt = sub.add_parser("counts", help="predicted vs actual gate-count sweeps")
-    cnt.add_argument("model", choices=["heisenberg", "spin-glass", "dicke"])
-    cnt.add_argument("--n", required=True, help="range lo:hi or comma list")
-    cnt.add_argument("--k", type=int)
-    cnt.add_argument("--kind")
-    cnt.add_argument("--seed", type=int, default=0)
-    cnt.add_argument("--format", choices=["csv", "json"], default="csv")
-    cnt.add_argument("--baseline", action="store_true",
-                     help="add the CNOT count of standard LCU for the same Hamiltonian "
-                          "(heisenberg and spin-glass)")
-    cnt.add_argument("-o", "--out")
-    cnt.set_defaults(func=cmd_counts)
+    models = cnt.add_subparsers(dest="model", required=True)
+    for model, sweep in (("heisenberg", "heisenberg"), ("spin-glass", "spin_glass"),
+                         ("dicke", None)):
+        p = models.add_parser(model)
+        p.add_argument("--n", required=True, help="range lo:hi or comma list")
+        if sweep is None:  # the Dicke kind is the sweep's model
+            p.add_argument("--kind", dest="sweep", metavar="KIND", default="d1")
+            p.add_argument("--k", type=int)
+            p.set_defaults(seed=0, baseline=False)
+        else:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--baseline", action="store_true", help="add standard-LCU CNOT counts")
+            p.set_defaults(sweep=sweep, k=None)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("-o", "--out")
+        p.set_defaults(func=cmd_counts)
     return ap
 
 

@@ -129,10 +129,6 @@ def cnot_chain(n: int, offset: int, count: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def chain_gates(pairs) -> list[Gate]:
-    return [cnot(c, t) for c, t in pairs]
-
-
 def elementwise_copy(n: int, width: int | None = None, src: int = 0,
                      dst: int | None = None) -> Circuit:
     """n parallel CNOTs copying register src -> dst element-wise."""

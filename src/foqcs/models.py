@@ -11,6 +11,7 @@ from .pauli import PauliSum, PauliTerm
 
 AXES = ("x", "y", "z")
 AXIS_PAULI = {"x": "X", "y": "Y", "z": "Z"}
+HEISENBERG_FIELDS = ("gx", "gy", "gz", "jx", "jy", "jz")
 
 
 def _string(n: int, placements: dict[int, str]) -> str:
@@ -55,6 +56,15 @@ class HeisenbergParams:
         return self.n * (abs(self.gx) + abs(self.gy) + abs(self.gz)) + (
             self.n - 1
         ) * (abs(self.jx) + abs(self.jy) + abs(self.jz))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "HeisenbergParams":
+        """A coupling missing from d is 0; a key that names no field is an error."""
+        n = int(d["n"])
+        unknown = sorted(set(d) - {"n", *HEISENBERG_FIELDS})
+        if unknown:
+            raise ValueError(f"unknown heisenberg spec keys {unknown}")
+        return cls(n, *(d.get(f, 0.0) for f in HEISENBERG_FIELDS))
 
 
 def heisenberg_hamiltonian(p: HeisenbergParams) -> PauliSum:

@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from foqcs.cli import main
+from foqcs.cli import build_parser, main
 
 
 def test_encode_heisenberg(tmp_path, capsys):
@@ -63,6 +66,11 @@ def test_verify_corrupted_spec(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not valid json")
     assert main(["verify", "generic", "--spec", str(f)]) == 1
+
+
+def test_verify_generic_empty_spec_path_is_an_input_error(capsys):
+    assert main(["verify", "generic", "--spec", ""]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_width_guard():
@@ -195,7 +203,8 @@ def test_dicke_kinds_resolve_through_one_table(capsys):
     ("generic", {"n": 2, "terms": [{"coeff": [0.5], "ops": "XZ"}]}),
     ("spin-glass", {"n": 2, "g": [[0.5, -0.25], [0.3, 0.4], [0.1, 0.9]], "J": 5}),
     ("heisenberg", [2, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]),
-], ids=["string-coeff", "short-coeff", "scalar-J", "list-spec"])
+    ("dicke", ["d1", 3]),
+], ids=["string-coeff", "short-coeff", "scalar-J", "list-spec", "dicke-list-spec"])
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, model, spec):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))
@@ -215,10 +224,12 @@ def test_counts_dicke_k_zero_is_rejected(capsys):
 
 
 def test_counts_dicke_baseline_is_rejected(capsys):
-    assert main(["counts", "dicke", "--kind", "d2k", "--n", "2:4", "--baseline"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "dicke", "--kind", "d2k", "--n", "2:4", "--baseline"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "spin model" in captured.err
+    assert "--baseline" in captured.err
 
 
 def test_counts_spin_glass_baseline(capsys):
@@ -238,12 +249,18 @@ def test_counts_has_no_baseline_model():
 
 @pytest.mark.parametrize("argv, message", [
     (["counts", "dicke", "--kind", "d1", "--n", "2:3", "--k", "5"], "d1 takes no k"),
-    (["counts", "heisenberg", "--n", "2:3", "--kind", "d2k"], "--kind applies to dicke"),
+    (["counts", "heisenberg", "--n", "2:3", "--kind", "d2k"],
+     "unrecognized arguments: --kind d2k"),
     (["verify", "dicke", "--kind", "d1", "--n", "3", "--alphas", "[[1, 0], [0, 1], [1, 1]]"],
      "takes no alphas"),
 ], ids=["counts-k-without-needs-k", "counts-kind-with-spin-model", "verify-alphas-balanced"])
 def test_flag_the_model_does_not_use_is_rejected(capsys, argv, message):
-    assert main(argv) == 2
+    if message.startswith("unrecognized"):  # a flag the model has no parser for
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:  # a flag the model reads, with a value its kind does not take
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -254,3 +271,108 @@ def test_counts_empty_range_is_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "empty range" in captured.err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("foqcs ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+# SHARED_FLAGS are the flags a command used to give every model; READS are the
+# flags each (command, model) pair reads. A shared flag a pair does not read exits 2.
+HEISENBERG = ("--spec", "--n", "--seed", "--gx", "--gy", "--gz", "--jx", "--jy", "--jz")
+SHARED_FLAGS = {"encode": HEISENBERG + ("--k", "--kind", "--tol", "--alphas", "-o"),
+             "verify": HEISENBERG + ("--k", "--kind", "--tol", "--alphas"),
+             "counts": ("--n", "--k", "--kind", "--seed", "--format", "--baseline", "-o")}
+MODEL_FLAGS = {"heisenberg": HEISENBERG, "spin-glass": ("--spec", "--n", "--seed"),
+               "generic": ("--spec",), "dicke": ("--spec", "--kind", "--n", "--k", "--alphas")}
+COMMAND_FLAGS = {"encode": ("-o",), "verify": ("--tol",)}
+COUNTS_FLAGS = {"heisenberg": ("--n", "--seed", "--baseline", "--format", "-o"),
+                "spin-glass": ("--n", "--seed", "--baseline", "--format", "-o"),
+                "dicke": ("--n", "--kind", "--k", "--format", "-o")}
+VALUES = {"--n": "2", "--k": "1", "--kind": "d1", "--seed": "1", "--spec": "h.json",
+          "--tol": "1", "--alphas": "[[1, 0]]", "--format": "csv", "-o": "out",
+          "--baseline": None, **{f: "1" for f in HEISENBERG[3:]}}
+READS = {**{("counts", m): f for m, f in COUNTS_FLAGS.items()},
+         **{(c, m): f + COMMAND_FLAGS[c] for c in COMMAND_FLAGS for m, f in MODEL_FLAGS.items()}}
+UNREAD = [(c, m, f) for (c, m), reads in READS.items() for f in SHARED_FLAGS[c] if f not in reads]
+
+
+def _argv(flags) -> list[str]:
+    return [t for f in flags for t in (f, VALUES[f]) if t is not None]
+
+
+def test_each_pair_parses_the_flags_it_reads():
+    for (command, model), reads in READS.items():
+        build_parser().parse_args([command, model, *_argv(reads)])
+    shared = sum(len(SHARED_FLAGS[c]) for c, _ in READS)
+    assert (shared, sum(map(len, READS.values())), len(UNREAD)) == (129, 59, 70)
+
+
+@pytest.mark.parametrize("command, model, flag", UNREAD,
+                         ids=[f"{c}-{m}-{f.lstrip('-')}" for c, m, f in UNREAD])
+def test_flag_a_model_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
+                                           command, model, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, model]
+    if command == "counts":
+        argv += ["--n", "2:3"]
+    elif command == "encode":
+        argv += ["-o", "out"]
+    if model == "generic":
+        argv += ["--spec", "h.json"]
+    argv += _argv([flag])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "verify heisenberg --n 2 --seed 1 --kind d1 --k 3 --alphas '[[1,0]]'",
+    "encode spin-glass --n 2 --kind d2k --tol 5 -o DIR",
+    "verify --n 3 heisenberg",
+], ids=["verify-heisenberg-dicke-flags", "encode-spin-glass-foreign-flags", "flag-before-model"])
+def test_unread_flags_once_ignored_now_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, argv, named", [
+    ({"n": 3, "gx": 1.0}, ["verify", "heisenberg", "--n", "9", "--gy", "3"], "--n, --gy"),
+    ({"kind": "d1", "n": 3}, ["verify", "dicke", "--kind", "d2k", "--k", "1"], "--kind, --k"),
+    ({"n": 3, "gx": 1.0}, ["encode", "heisenberg", "--seed", "0", "-o", "enc"], "--seed"),
+], ids=["heisenberg-n-gy", "dicke-kind-k", "explicit-default-seed"])
+def test_spec_excludes_the_flags_that_describe_the_model(tmp_path, monkeypatch, capsys,
+                                                        spec, argv, named):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(spec))
+    assert main(argv[:2] + ["--spec", "spec.json"] + argv[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--spec excludes {named}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("model, spec, key", [
+    ("heisenberg", {"n": 2, "gx": 1, "jzz": 1}, "jzz"),
+    ("dicke", {"kind": "d1u", "n": 2, "alpha": [[1, 0], [0, 1]]}, "alpha"),
+])
+def test_spec_key_the_model_does_not_read_is_an_input_error(tmp_path, capsys, model, spec, key):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main(["verify", model, "--spec", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown {model} spec keys ['{key}']" in captured.err

@@ -28,6 +28,13 @@ def test_heisenberg_validation():
             HeisenbergParams(3, gx=1.0, jy=bad)
 
 
+def test_heisenberg_from_dict():
+    assert HeisenbergParams.from_dict({"n": 3, "gx": 0.5, "jz": 1}) == HeisenbergParams(
+        3, gx=0.5, jz=1.0)
+    with pytest.raises(ValueError, match=r"\['jzz'\]"):
+        HeisenbergParams.from_dict({"n": 2, "gx": 1, "jzz": 1})
+
+
 def test_spin_glass_must_be_finite():
     p = random_spin_glass(3, np.random.default_rng(3))
     for bad in (np.nan, np.inf):
