@@ -65,8 +65,11 @@ def _heisenberg(args) -> tuple:
         if args.n is None:
             raise DomainError("heisenberg needs --spec or --n")
         vals = [getattr(args, f) for f in HEISENBERG_FIELDS]
-        if all(v is None for v in vals):
+        given = [f"--{f}" for f, v in zip(HEISENBERG_FIELDS, vals) if v is not None]
+        if not given:
             p = random_heisenberg(args.n, np.random.default_rng(args.seed or 0))
+        elif args.seed is not None:
+            raise DomainError(f"--seed draws the couplings, so it excludes {', '.join(given)}")
         else:
             p = HeisenbergParams(args.n, *(v or 0.0 for v in vals))
     return heisenberg_encoding(p), heisenberg_hamiltonian(p)

@@ -1,19 +1,30 @@
-"""Dense statevector simulation and block extraction.
+"""Exact statevector simulation and block extraction.
 
-Amplitudes are complex128 arrays indexed little-endian (qubit q = bit q),
-shaped (2**width,) or (2**width, batch). Every gate kind, composite ones
-(gamma, cgamma, toffoli, ...) included, is applied in place through its exact
-unitary by one kernel, _apply_unitary, so circuits need not be lowered before
-simulation. The kernel reads the sparsity of the unitary: it skips rows equal
-to the identity's, scales a diagonal-only row in place, multiplies by no
-coefficient equal to 1, and copies a slice only when a later row reads it
-after it has been overwritten. A CNOT is then one slice copy and two
-assignments, and a phase gate one in-place scaling of half the amplitudes.
+Amplitudes are complex128 indexed little-endian (qubit q = bit q). Every gate
+kind, composite ones (gamma, cgamma, toffoli, ...) included, is applied in
+place through its exact unitary by one kernel, _apply_unitary, so circuits need
+not be lowered before simulation. The kernel reads the sparsity of the unitary:
+it skips rows equal to the identity's, scales a diagonal-only row in place,
+multiplies by no coefficient equal to 1, and copies a slice only when a later
+row reads it after it has been overwritten. A CNOT is then one slice copy and
+two assignments, and a phase gate one in-place scaling of half the amplitudes.
 
-extract_block reads a block encoding's three parts. PR and PL act on the
-ancillae alone, so each runs forward once on 2**sys_start amplitudes; only
-SELECT runs at full width, once per system basis column. PL-dagger is never
-built: <0_anc| PL-dagger is the bra of PL|0_anc>.
+Two drivers feed that kernel:
+  - dense: run, simulate and circuit_unitary hold arrays shaped (2**width,) or
+    (2**width, batch);
+  - sparse: _run_sparse holds a state as its support, sorted unique int64
+    basis indices and their amplitudes. Per gate it gathers the amplitudes
+    into a (2**k, groups) block, one column per setting of the bits the gate
+    does not touch, applies the kernel to that block, and scatters back. A
+    gate costs about the support size, not 2**width.
+
+assert_state and the SELECT part of extract_block run sparse. The paper's
+Dicke states and check-matrix SELECT keep a tiny support (a d1 state on n
+qubits has n nonzeros), so verify dicke costs about gates x support. PR and
+PL act on the ancillae alone, so each runs dense once on 2**sys_start
+amplitudes; SELECT runs on the support of PR|0_anc> x |b> once per system
+basis column b. PL-dagger is never built: <0_anc| PL-dagger is the bra of
+PL|0_anc>.
 """
 from __future__ import annotations
 
@@ -27,11 +38,20 @@ from .circuit import Circuit, Gate
 from .errors import DomainError, ResourceGuardError
 
 DEFAULT_MAX_WIDTH = 24
+# Sparse basis indices are int64; this many bits leave every shift in range.
+SPARSE_MAX_WIDTH = 62
 
 
 def max_width() -> int:
     """Simulator width cap; override with the FOQCS_MAX_WIDTH env var."""
     return int(os.environ.get("FOQCS_MAX_WIDTH", DEFAULT_MAX_WIDTH))
+
+
+def _check_sparse_width(width: int) -> None:
+    """The sparse paths' cap: max_width(), and never above SPARSE_MAX_WIDTH."""
+    cap = min(max_width(), SPARSE_MAX_WIDTH)
+    if width > cap:
+        raise ResourceGuardError(f"width {width} exceeds simulator cap {cap}")
 
 
 @dataclass
@@ -216,6 +236,42 @@ def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
     return amps
 
 
+def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps).
+
+    idx holds sorted unique int64 basis indices. Per gate, the indices are
+    split into the operand bits (local index r, read by shifts) and the rest
+    (the group); the amplitudes fill a C-contiguous (2**k, groups) block that
+    _apply_unitary updates as k qubits batched over the groups. The block's
+    nonzeros are scattered back and re-sorted; only exact zeros are dropped,
+    so a NaN stays in the support. An operand at or above SPARSE_MAX_WIDTH
+    raises ResourceGuardError rather than shift into the sign bit.
+    """
+    for g in gates:
+        qs = g.qubits
+        if max(qs) >= SPARSE_MAX_WIDTH:
+            raise ResourceGuardError(
+                f"qubit {max(qs)} is over the sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
+        k = len(qs)
+        local = np.zeros_like(idx)
+        rest = idx.copy()
+        for i, q in enumerate(qs):
+            bit = (idx >> q) & 1
+            local |= bit << i
+            rest ^= bit << q
+        keys, group = np.unique(rest, return_inverse=True)
+        blk = np.zeros((1 << k, keys.size), dtype=complex)
+        blk[local, group] = amps
+        _apply_unitary(blk, gate_unitary(g), tuple(range(k)), k)
+        r, c = np.nonzero(blk)
+        spread = np.array([sum(((p >> i) & 1) << q for i, q in enumerate(qs))
+                           for p in range(1 << k)], dtype=np.int64)
+        idx = keys[c] | spread[r]
+        order = np.argsort(idx)
+        idx, amps = idx[order], blk[r[order], c[order]]
+    return idx, amps
+
+
 def simulate(circuit: Circuit, init: StateVector | None = None) -> StateVector:
     """Exact statevector after the circuit; init defaults to |0...0>."""
     if circuit.width > max_width():
@@ -260,21 +316,25 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
       - SELECT runs on v x |b> for each system basis input b, and column b of
         the block is that state contracted with the bra <w| = <0_anc| PL-dagger
         over the ancillae.
+    SELECT runs sparse, from the support of v shifted to column b, and its
+    result is scattered into one reused 2**width buffer for the contraction.
     The per-input post-selection probability is the squared norm of column b.
     """
-    if be.width > max_width():
-        raise ResourceGuardError(f"width {be.width} exceeds simulator cap {max_width()}")
+    _check_sparse_width(be.width)
     sys_start, n = be.layout["system"]
     v = _run_gates(be.prep, StateVector.zero(sys_start).amps, sys_start)
     w_bra = _run_gates(be.unprep, StateVector.zero(sys_start).amps, sys_start).conj()
+    v_idx = np.flatnonzero(v)
+    v_amps = v[v_idx]
     dim = 1 << n
     block = np.empty((dim, dim), dtype=complex)
-    amps = np.empty(1 << be.width, dtype=complex)
+    amps = np.zeros(1 << be.width, dtype=complex)
     rows = amps.reshape(dim, 1 << sys_start)
+    idx = np.empty(0, dtype=np.int64)  # the previous column's support, cleared before the next
     for b in range(dim):
-        amps.fill(0.0)
-        rows[b] = v
-        _run_gates(be.select.gates, amps, be.width)
+        amps[idx] = 0.0
+        idx, out = _run_sparse(be.select.gates, v_idx | (b << sys_start), v_amps)
+        amps[idx] = out
         block[:, b] = rows @ w_bra
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
@@ -293,17 +353,36 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
     """Compare the simulated state against a sparse amplitude map.
 
     Indices absent from `expected` must carry amplitude below tol. The report
-    lists offending basis indices rather than raising.
+    lists offending basis indices, in ascending order, rather than raising.
+    The circuit runs sparse from the support of init (default |0...0>), and an
+    index outside both that output support and `expected` has diff exactly 0,
+    so only the union of the two index sets is compared.
     """
-    out = simulate(circuit, init).amps
-    dim = out.shape[0]
-    ref = np.zeros(dim, dtype=complex)
-    for idx, amp in expected.items():
-        if not 0 <= idx < dim:
-            raise DomainError(f"expected index {idx} out of range")
-        ref[idx] = amp
+    _check_sparse_width(circuit.width)
+    dim = 1 << circuit.width
+    if init is None:
+        idx, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    elif init.width != circuit.width:
+        raise DomainError(f"state width {init.width} != circuit width {circuit.width}")
+    elif np.shape(init.amps) != (dim,):
+        raise DomainError("state dimension does not match circuit width")
+    else:
+        idx = np.flatnonzero(init.amps)
+        amps = np.asarray(init.amps, dtype=complex)[idx]
+    idx, amps = _run_sparse(circuit.gates, idx, amps)
+    for i in expected:
+        if not 0 <= i < dim:
+            raise DomainError(f"expected index {i} out of range")
+    exp_idx = np.fromiter(expected, dtype=np.int64, count=len(expected))
+    exp_amps = np.fromiter(expected.values(), dtype=complex, count=len(expected))
+    union = np.union1d(idx, exp_idx)
+    out = np.zeros(union.size, dtype=complex)
+    out[np.searchsorted(union, idx)] = amps
+    ref = np.zeros(union.size, dtype=complex)
+    ref[np.searchsorted(union, exp_idx)] = exp_amps
     diff = np.abs(out - ref)
     within = diff <= tol  # NaN compares False, so NaN is never within tol; inverted in place
     bad = np.nonzero(np.logical_not(within, out=within))[0]
-    mism = [(int(i), complex(out[i]), complex(ref[i])) for i in bad[:16]]
-    return StateCheck(ok=bad.size == 0, max_abs_error=float(diff.max()), mismatches=mism)
+    mism = [(int(union[i]), complex(out[i]), complex(ref[i])) for i in bad[:16]]
+    return StateCheck(ok=bad.size == 0, max_abs_error=float(diff.max(initial=0.0)),
+                      mismatches=mism)

@@ -365,6 +365,21 @@ def test_spec_excludes_the_flags_that_describe_the_model(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("verify heisenberg --n 3 --gx 1 --seed 1", "--gx"),
+    ("encode heisenberg --n 2 --seed 0 --jx 1 --jz -1 -o enc", "--jx, --jz"),
+], ids=["verify-gx", "encode-explicit-default-seed"])
+def test_seed_excludes_explicit_couplings(tmp_path, monkeypatch, capsys, argv, named):
+    # --seed draws all six couplings, so next to a given one it would be ignored.
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--seed draws the couplings, so it excludes {named}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["verify", "heisenberg", "--n", "2", "--gx", "1"]) == 0
+
+
 @pytest.mark.parametrize("model, spec, key", [
     ("heisenberg", {"n": 2, "gx": 1, "jzz": 1}, "jzz"),
     ("dicke", {"kind": "d1u", "n": 2, "alpha": [[1, 0], [0, 1]]}, "alpha"),

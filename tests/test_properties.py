@@ -1,4 +1,6 @@
 """Property tests on random circuits of width <= 4 over every gate kind."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from foqcs.circuit import (
 )
 from foqcs.encoder import heisenberg_encoding
 from foqcs.models import random_heisenberg
-from foqcs.sim import circuit_unitary
+from foqcs.sim import StateVector, _run_sparse, assert_state, circuit_unitary, run
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)
 # Angles where a rotation is trivial or self-inverse, mixed into the draw.
@@ -104,3 +106,85 @@ def test_count_does_not_lower(monkeypatch):
     monkeypatch.setattr(circuit, "_lower_gate", refuse)
     be = heisenberg_encoding(random_heisenberg(8, np.random.default_rng(8)))
     assert count(be.circuit).cnot_equivalent == 46 * 8 + 8
+
+
+AMPS = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False,
+                          allow_infinity=False)
+
+
+def _sparse_init(data, width):
+    """A random nonempty support of a width-qubit register and nonzero amplitudes."""
+    support = sorted(data.draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1)))
+    amps = data.draw(st.lists(AMPS, min_size=len(support), max_size=len(support)))
+    return np.array(support, dtype=np.int64), np.array(amps, dtype=complex)
+
+
+def _dense(width, idx, amps):
+    out = np.zeros(1 << width, dtype=complex)
+    out[idx] = amps
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(circuits(angles=EDGE_ANGLES), st.data())
+def test_sparse_driver_agrees_with_dense_run(c, data):
+    idx, amps = _sparse_init(data, c.width)
+    dense = run(c, _dense(c.width, idx, amps))
+    out_idx, out_amps = _run_sparse(c.gates, idx, amps)
+    assert out_idx.dtype == np.int64
+    assert np.all(np.diff(out_idx) > 0)  # sorted and unique
+    assert np.all(out_amps != 0)
+    np.testing.assert_allclose(_dense(c.width, out_idx, out_amps), dense, atol=1e-12, rtol=0)
+
+
+def _dense_assert_state(c, expected, tol, init):
+    """Reference verdict: compare the whole dense output vector."""
+    out = run(c, init.copy())
+    ref = np.zeros_like(out)
+    for i, a in expected.items():
+        ref[i] = a
+    diff = np.abs(out - ref)
+    bad = [i for i, d in enumerate(diff) if not d <= tol]
+    return not bad, bad[:16], float(diff.max())
+
+
+def _check_against_dense(c, expected, tol, init):
+    r = assert_state(c, expected, tol, StateVector(c.width, init))
+    ok, bad, err = _dense_assert_state(c, expected, tol, init)
+    assert r.ok == ok
+    assert [i for i, _, _ in r.mismatches] == bad
+    assert math.isnan(r.max_abs_error) == math.isnan(err)
+    if not math.isnan(err):
+        assert abs(r.max_abs_error - err) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(circuits(angles=EDGE_ANGLES), st.data())
+def test_assert_state_matches_dense_reference(c, data):
+    # expected keeps some of the output support (exact, shifted or NaN) and
+    # adds indices of its own, so every kind of disagreement is drawn.
+    init = _dense(c.width, *_sparse_init(data, c.width))
+    out = run(c, init.copy())
+    expected = {}
+    for i in range(1 << c.width):
+        how = data.draw(st.sampled_from(["absent", "exact", "shifted", "nan", "other"]))
+        if how == "exact":
+            expected[i] = out[i]
+        elif how == "shifted":
+            expected[i] = out[i] + 0.01
+        elif how == "nan":
+            expected[i] = complex("nan")
+        elif how == "other":
+            expected[i] = data.draw(AMPS)
+    _check_against_dense(c, expected, data.draw(st.sampled_from([1e-12, 0.1])), init)
+
+
+def test_assert_state_matches_dense_reference_at_the_edges():
+    # A NaN expected amplitude, an output index absent from expected, an
+    # expected index outside the output support, and a pass.
+    c = Circuit(3, (Gate("h", (0,)), Gate("cnot", (0, 2))))
+    init = _dense(3, np.array([0]), np.array([1.0 + 0j]))
+    half = 2 ** -0.5
+    for expected in ({0: half, 5: complex("nan")}, {0: half}, {0: half, 5: half, 3: 0.5},
+                     {0: half, 5: half}):
+        _check_against_dense(c, expected, 1e-12, init)

@@ -1,11 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from foqcs.circuit import GATE_KINDS, Circuit, Gate, cgamma, cnot, cz, gamma, h, ry, toffoli, x
+from foqcs.circuit import (
+    GATE_KINDS,
+    BlockEncoding,
+    Circuit,
+    Gate,
+    cgamma,
+    cnot,
+    cz,
+    gamma,
+    h,
+    ry,
+    toffoli,
+    x,
+)
 from foqcs.errors import DomainError, ResourceGuardError
 from foqcs.pauli import PauliSum, PauliTerm
 from foqcs.sim import (
+    SPARSE_MAX_WIDTH,
     StateVector,
+    _run_sparse,
     assert_state,
     extract_block,
     gate_unitary,
@@ -181,9 +198,94 @@ def test_width_guard(monkeypatch):
         simulate(Circuit(25, (x(0),)))
 
 
+def test_sparse_index_width_guard(monkeypatch):
+    # Sparse indices are int64, so the sparse paths stop at 62 qubits even when
+    # FOQCS_MAX_WIDTH allows more, and never return a wrapped index.
+    monkeypatch.setenv("FOQCS_MAX_WIDTH", "80")
+    assert SPARSE_MAX_WIDTH == 62
+    r = assert_state(Circuit(62, (x(61),)), {1 << 61: 1.0})
+    assert r.ok and r.max_abs_error == 0.0
+    wide = Circuit(64, (x(63),), {"system": (62, 2)})
+    with pytest.raises(ResourceGuardError, match="width 64 exceeds simulator cap 62"):
+        assert_state(wide, {0: 1.0})
+    with pytest.raises(ResourceGuardError):
+        extract_block(BlockEncoding(wide, 1.0))
+    with pytest.raises(ResourceGuardError):
+        _run_sparse(wide.gates, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+
+def test_assert_state_stays_on_the_support():
+    # A dense vector at width 20 would take 16 MiB; the support takes 20 entries.
+    from foqcs.dicke import dicke_state_map, prepare_dicke1
+
+    circ, expected = prepare_dicke1(20), dicke_state_map("d1", 20)
+    tracemalloc.start()
+    try:
+        r = assert_state(circ, expected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.ok, r.mismatches
+    assert peak < 1e6
+
+
+def _replace(circ, pos, gate):
+    gates = list(circ.gates)
+    if gate is None:
+        del gates[pos]
+    else:
+        gates[pos] = gate
+    return Circuit(circ.width, tuple(gates), circ.layout)
+
+
+def test_assert_state_fails_a_perturbed_gamma():
+    from foqcs.dicke import dicke_state_map, prepare_dicke1
+
+    circ = prepare_dicke1(20)
+    pos = [i for i, g in enumerate(circ.gates) if g.kind == "gamma"][10]
+    g = circ.gates[pos]
+    r = assert_state(_replace(circ, pos, Gate("gamma", g.qubits, g.angle + 1e-6)),
+                     dicke_state_map("d1", 20))
+    assert not r.ok and r.max_abs_error > 1e-12
+    assert [i for i, _, _ in r.mismatches] == sorted(i for i, _, _ in r.mismatches)
+
+
+def test_assert_state_lists_the_stray_indices_of_a_dropped_cnot():
+    from foqcs.dicke import DICKE_KINDS, dicke_state_map
+
+    circ, expected = DICKE_KINDS["d2kd"].build(10, 3, None), dicke_state_map("d2kd", 10, 3)
+    pos = [i for i, g in enumerate(circ.gates) if g.kind == "cnot"][-1]
+    r = assert_state(_replace(circ, pos, None), expected)
+    assert not r.ok
+    stray = [(i, out, ref) for i, out, ref in r.mismatches if i not in expected]
+    assert stray and all(abs(out) > 1e-12 and ref == 0 for _, out, ref in stray)
+    assert [i for i, _, _ in r.mismatches] == sorted(i for i, _, _ in r.mismatches)
+
+
+def test_extract_block_fails_a_retargeted_select_gate():
+    from foqcs.encoder import heisenberg_encoding
+    from foqcs.models import HeisenbergParams, heisenberg_hamiltonian
+    from foqcs.pauli import hamiltonian_matrix, one_norm
+
+    p = HeisenbergParams(3, 0.7, -0.2, 0.4, 0.1, 0.5, -0.6)
+    be = heisenberg_encoding(p)
+    h_ = heisenberg_hamiltonian(p)
+    ref = hamiltonian_matrix(h_) / one_norm(h_)
+    assert extract_block(be, ref).max_abs_error < 1e-10
+    sys_start, n = be.layout["system"]
+    pos, g = next((i, g) for i, g in enumerate(be.select.gates) if g.kind == "cnot")
+    target = sys_start + (g.qubits[1] - sys_start + 1) % n
+    bad = BlockEncoding(_replace(be.select, pos, cnot(g.qubits[0], target)),
+                        be.normalization, be.prep, be.unprep)
+    assert extract_block(bad, ref).max_abs_error > 1e-10
+
+
 def test_width_mismatch():
     with pytest.raises(DomainError):
         simulate(Circuit(2, ()), StateVector.zero(3))
+    for init in (StateVector.zero(3), StateVector(2, np.ones(8, dtype=complex))):
+        with pytest.raises(DomainError):
+            assert_state(Circuit(2, ()), {0: 1.0}, init=init)
 
 
 def _embed(g, width):
