@@ -72,7 +72,7 @@ def _heisenberg(args) -> tuple:
             raise DomainError(f"--seed draws the couplings, so it excludes {', '.join(given)}")
         else:
             p = HeisenbergParams(args.n, *(v or 0.0 for v in vals))
-    return heisenberg_encoding(p), heisenberg_hamiltonian(p)
+    return heisenberg_encoding(p), lambda: heisenberg_hamiltonian(p)
 
 
 def _spin_glass(args) -> tuple:
@@ -81,12 +81,12 @@ def _spin_glass(args) -> tuple:
         if args.n is None:
             raise DomainError("spin-glass needs --spec or --n")
         p = random_spin_glass(args.n, np.random.default_rng(args.seed or 0))
-    return spin_glass_encoding(p), spin_glass_hamiltonian(p)
+    return spin_glass_encoding(p), lambda: spin_glass_hamiltonian(p)
 
 
 def _generic(args) -> tuple:
     h = _spec(args, "Pauli-sum spec", PauliSum.from_dict)
-    return generic_foqcs(h), h
+    return generic_foqcs(h), lambda: h
 
 
 def _dicke_fields(d: dict) -> tuple:
@@ -158,10 +158,11 @@ def cmd_verify_state(args) -> int:
 
 
 def cmd_verify_block(args) -> int:
-    be, h = args.request(args)
+    be, hamiltonian = args.request(args)
     if be.width > VERIFY_MAX_WIDTH:
         raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
     tol = 1e-10 if args.tol is None else args.tol
+    h = hamiltonian()
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)
     out = {"ok": bool(rep.max_abs_error <= tol), "max_abs_error": rep.max_abs_error,
@@ -194,6 +195,8 @@ def cmd_counts(args) -> int:
     return 0
 
 
+# A block request returns (encoding, a function building H): verify calls it only
+# after the width cap, and encode never does.
 BLOCK = {"encode": cmd_encode_block, "verify": cmd_verify_block}
 STATE = {"encode": cmd_encode_state, "verify": cmd_verify_state}
 # model: (request, the flags it reads besides --spec, its command functions)

@@ -22,9 +22,9 @@ assert_state and the SELECT part of extract_block run sparse. The paper's
 Dicke states and check-matrix SELECT keep a tiny support (a d1 state on n
 qubits has n nonzeros), so verify dicke costs about gates x support. PR and
 PL act on the ancillae alone, so each runs dense once on 2**sys_start
-amplitudes; SELECT runs on the support of PR|0_anc> x |b> once per system
-basis column b. PL-dagger is never built: <0_anc| PL-dagger is the bra of
-PL|0_anc>.
+amplitudes; SELECT runs on the support of PR|0_anc> x |b> for many system
+columns b per pass, each b held in index bits above the circuit. PL-dagger is
+never built: <0_anc| PL-dagger is the bra of PL|0_anc>.
 """
 from __future__ import annotations
 
@@ -307,35 +307,35 @@ class BlockReport:
 
 
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
-    """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register,
-    column by column.
+    """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register.
 
-    PR and PL act on the ancillae alone, so
-      - v = PR|0_anc> and w = PL|0_anc> each run forward once on the
-        2**sys_start ancilla amplitudes;
-      - SELECT runs on v x |b> for each system basis input b, and column b of
-        the block is that state contracted with the bra <w| = <0_anc| PL-dagger
-        over the ancillae.
-    SELECT runs sparse, from the support of v shifted to column b, and its
-    result is scattered into one reused 2**width buffer for the contraction.
-    The per-input post-selection probability is the squared norm of column b.
+    PR and PL act on the ancillae alone, so v = PR|0_anc> and w = PL|0_anc>
+    each run forward once, dense, on the 2**sys_start ancilla amplitudes.
+    SELECT then runs sparse on many columns per pass: column b starts as
+    v x |b>, with b copied into n extra bits above the top qubit that no gate
+    reads, so the columns never mix. A pass starts from at most 2**sys_start
+    entries (all columns when v is sparse, one when v is dense), never from
+    nnz(v) * 2**n ~ 2**width. Each output entry adds conj(w_anc) times its
+    amplitude to block[row, b]. The per-input post-selection probability is
+    the squared norm of column b.
     """
     _check_sparse_width(be.width)
     sys_start, n = be.layout["system"]
+    if be.width + n > SPARSE_MAX_WIDTH:
+        raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
+                                 f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
     v = _run_gates(be.prep, StateVector.zero(sys_start).amps, sys_start)
     w_bra = _run_gates(be.unprep, StateVector.zero(sys_start).amps, sys_start).conj()
     v_idx = np.flatnonzero(v)
-    v_amps = v[v_idx]
-    dim = 1 << n
-    block = np.empty((dim, dim), dtype=complex)
-    amps = np.zeros(1 << be.width, dtype=complex)
-    rows = amps.reshape(dim, 1 << sys_start)
-    idx = np.empty(0, dtype=np.int64)  # the previous column's support, cleared before the next
-    for b in range(dim):
-        amps[idx] = 0.0
-        idx, out = _run_sparse(be.select.gates, v_idx | (b << sys_start), v_amps)
-        amps[idx] = out
-        block[:, b] = rows @ w_bra
+    dim, step = 1 << n, max(1, (1 << sys_start) // v_idx.size)
+    block = np.zeros((dim, dim), dtype=complex)
+    for lo in range(0, dim, step):
+        b = np.arange(lo, min(lo + step, dim), dtype=np.int64)[:, None]
+        # column bits on top: sorted and unique, as _run_sparse needs
+        start = (v_idx | b << sys_start | b << be.width).ravel()
+        idx, amps = _run_sparse(be.select.gates, start, np.tile(v[v_idx], b.size))
+        np.add.at(block, ((idx >> sys_start) & (dim - 1), idx >> be.width),
+                  w_bra[idx & ((1 << sys_start) - 1)] * amps)
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
     return BlockReport(block=block, max_abs_error=err, postselect_probability=probs)

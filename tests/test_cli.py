@@ -143,6 +143,27 @@ def test_verify_heisenberg_at_width_cap(capsys):
     assert out["ok"] and out["max_abs_error"] <= 1e-10
 
 
+def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monkeypatch):
+    import foqcs.cli
+
+    commands = (["encode", "heisenberg", "--n", "3"], ["encode", "spin-glass", "--n", "2"])
+    for i, argv in enumerate(commands):
+        assert main([*argv, "-o", str(tmp_path / f"ref{i}")]) == 0
+
+    def refuse(p):
+        raise AssertionError("the Hamiltonian was built")
+
+    monkeypatch.setattr(foqcs.cli, "heisenberg_hamiltonian", refuse)
+    monkeypatch.setattr(foqcs.cli, "spin_glass_hamiltonian", refuse)
+    for i, argv in enumerate(commands):
+        assert main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0
+        for name in ("circuit.qasm", "circuit.json", "meta.json"):
+            assert ((tmp_path / f"out{i}" / name).read_bytes()
+                    == (tmp_path / f"ref{i}" / name).read_bytes())
+    # n=6 is 24 qubits, over the verify cap
+    assert main(["verify", "heisenberg", "--n", "6", "--seed", "1"]) == 3
+
+
 def test_verify_dicke_nan_amplitude(capsys):
     code = main(["verify", "dicke", "--kind", "d1u", "--n", "3",
                  "--alphas", "[[NaN,0],[1,0],[1,0]]"])

@@ -1,13 +1,15 @@
-"""Property tests on random circuits of width <= 4 over every gate kind."""
+"""Property tests on random circuits of width <= 4 over every gate kind, and on
+block encodings: random three-part ones and spin models with zero couplings."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foqcs import circuit
 from foqcs.circuit import (
     GATE_KINDS,
+    BlockEncoding,
     Circuit,
     CountReport,
     Gate,
@@ -17,9 +19,19 @@ from foqcs.circuit import (
     lower,
     parse_qasm,
 )
-from foqcs.encoder import heisenberg_encoding
-from foqcs.models import random_heisenberg
-from foqcs.sim import StateVector, _run_sparse, assert_state, circuit_unitary, run
+from foqcs.encoder import heisenberg_encoding, spin_glass_encoding
+from foqcs.models import (
+    HEISENBERG_FIELDS,
+    HeisenbergParams,
+    SpinGlassParams,
+    heisenberg_hamiltonian,
+    random_heisenberg,
+    random_spin_glass,
+    spin_glass_hamiltonian,
+)
+from foqcs.pauli import hamiltonian_matrix, one_norm
+from foqcs.sim import StateVector, _run_sparse, assert_state, circuit_unitary, extract_block, run
+from tests.test_sim import _per_column_block
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)
 # Angles where a rotation is trivial or self-inverse, mixed into the draw.
@@ -27,9 +39,8 @@ EDGE_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]), ANGLES)
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
-@st.composite
-def circuits(draw, kinds=tuple(GATE_KINDS), angles=ANGLES):
-    width = draw(st.integers(1, 4))
+def _gates(draw, width, kinds, angles):
+    """Up to 8 random gates of the given kinds on qubits 0..width-1."""
     usable = [k for k in kinds if GATE_KINDS[k][0] <= width]
     gates = []
     for _ in range(draw(st.integers(0, 8))):
@@ -37,7 +48,13 @@ def circuits(draw, kinds=tuple(GATE_KINDS), angles=ANGLES):
         arity, angled = GATE_KINDS[kind]
         qubits = tuple(draw(st.permutations(range(width)))[:arity])
         gates.append(Gate(kind, qubits, draw(angles) if angled else None))
-    return Circuit(width, tuple(gates))
+    return tuple(gates)
+
+
+@st.composite
+def circuits(draw, kinds=tuple(GATE_KINDS), angles=ANGLES):
+    width = draw(st.integers(1, 4))
+    return Circuit(width, _gates(draw, width, kinds, angles))
 
 
 # cgamma is left out of the unitary checks: its lowering is only correct when
@@ -188,3 +205,67 @@ def test_assert_state_matches_dense_reference_at_the_edges():
     for expected in ({0: half, 5: complex("nan")}, {0: half}, {0: half, 5: half, 3: 0.5},
                      {0: half, 5: half}):
         _check_against_dense(c, expected, 1e-12, init)
+
+
+@st.composite
+def three_part_encodings(draw):
+    """PR and PL on a = 1..3 ancillae and SELECT on a + n, n = 1..2, over every
+    gate kind (PL over every kind with an exact adjoint)."""
+    a, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    select = Circuit(a + n, _gates(draw, a + n, GATE_KINDS, EDGE_ANGLES), {"system": (a, n)})
+    return BlockEncoding(select, 1.0, prep=_gates(draw, a, GATE_KINDS, EDGE_ANGLES),
+                         unprep=_gates(draw, a, EXACT_KINDS, EDGE_ANGLES))
+
+
+@PROPERTY_SETTINGS
+@given(three_part_encodings())
+def test_one_pass_block_equals_the_per_column_reference(be):
+    ref = _per_column_block(be.circuit)
+    rep = extract_block(be)
+    np.testing.assert_allclose(rep.block, ref, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(rep.postselect_probability, np.sum(np.abs(ref) ** 2, axis=0),
+                               atol=1e-12, rtol=0)
+
+
+def _assert_block_is_h_over_norm(be, h):
+    rep = extract_block(be, hamiltonian_matrix(h) / one_norm(h))
+    assert rep.max_abs_error <= 1e-10
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+# Half the examples: each builds and checks an encoding of up to 21 qubits.
+ZERO_COUPLING_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=50)
+
+
+@st.composite
+def sparse_spin_glasses(draw):
+    """Random couplings with single entries, whole diagonals or whole axes set
+    to zero; at least one stays nonzero."""
+    p = random_spin_glass(draw(st.integers(2, 3)), np.random.default_rng(draw(SEEDS)))
+    n = p.n
+    c = p.J.copy()  # each axis's couplings, with the fields g as diagonal k = 0
+    c[:, range(n), range(n)] = p.g
+    for _ in range(draw(st.integers(1, 5))):
+        a, k = draw(st.integers(0, 2)), draw(st.integers(0, n - 1))
+        how = draw(st.sampled_from(["entry", "diagonal", "axis"]))
+        if how == "axis":
+            c[a] = 0.0
+        else:
+            l = np.arange(n - k) if how == "diagonal" else draw(st.integers(0, n - 1 - k))
+            c[a, l, l + k] = 0.0
+    assume(np.any(c))
+    return SpinGlassParams(n, c.diagonal(axis1=1, axis2=2).copy(), np.triu(c, 1))
+
+
+@ZERO_COUPLING_SETTINGS
+@given(sparse_spin_glasses())
+def test_spin_glass_block_with_zero_couplings(p):
+    _assert_block_is_h_over_norm(spin_glass_encoding(p), spin_glass_hamiltonian(p))
+
+
+@ZERO_COUPLING_SETTINGS
+@given(st.integers(2, 5), SEEDS, st.sets(st.sampled_from(HEISENBERG_FIELDS), max_size=5))
+def test_heisenberg_block_with_zero_couplings(n, seed, zeros):
+    p = random_heisenberg(n, np.random.default_rng(seed))
+    p = HeisenbergParams(n, *(0.0 if f in zeros else getattr(p, f) for f in HEISENBERG_FIELDS))
+    _assert_block_is_h_over_norm(heisenberg_encoding(p), heisenberg_hamiltonian(p))

@@ -214,6 +214,61 @@ def test_sparse_index_width_guard(monkeypatch):
         _run_sparse(wide.gates, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
 
 
+def test_extract_block_column_bits_fit_in_int64(monkeypatch):
+    # extract_block holds each column in n index bits above the top qubit, so
+    # width + n must stay within the 62 bits as well.
+    monkeypatch.setenv("FOQCS_MAX_WIDTH", "80")
+    with pytest.raises(ResourceGuardError, match="width 61 plus 2 column bits"):
+        extract_block(BlockEncoding(Circuit(61, (), {"system": (59, 2)}), 1.0))
+
+
+def test_extract_block_stays_on_the_support():
+    # Heisenberg n=5 is 21 qubits: one 2^21 column would take 33.5 MB.
+    from foqcs.encoder import heisenberg_encoding
+    from foqcs.models import random_heisenberg
+
+    be = heisenberg_encoding(random_heisenberg(5, np.random.default_rng(64)))
+    tracemalloc.start()
+    try:
+        extract_block(be)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_extract_block_splits_the_columns_of_a_dense_pr_state():
+    # v has 5 nonzeros on 4 ancillae, so a pass takes 16 // 5 = 3 columns:
+    # the 4 columns run as passes [0, 1, 2] and [3].
+    prep = (h(0), h(1), toffoli(0, 1, 2), Gate("cry", (2, 3), 0.9))
+    select = Circuit(6, (cnot(0, 4), h(5), cz(3, 5), Gate("crz", (2, 4), 0.7), cnot(5, 1)),
+                     {"system": (4, 2)})
+    be = BlockEncoding(select, 1.0, prep=prep, unprep=(ry(0.4, 1), h(3), cnot(3, 0)))
+    ref = _per_column_block(be.circuit)
+    rep = extract_block(be)
+    np.testing.assert_allclose(rep.block, ref, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(rep.postselect_probability, np.sum(np.abs(ref) ** 2, axis=0),
+                               atol=1e-12, rtol=0)
+
+
+def test_extract_block_bounds_the_support_of_a_dense_pr_state():
+    # v is dense on 10 ancillae, so one pass over all 2^6 columns would start
+    # from 2^16 entries, as many as a whole 2^16 vector (1 MiB); a pass of one
+    # column starts from 2^10.
+    a, n = 10, 6
+    anc = tuple(h(q) for q in range(a))
+    select = Circuit(a + n, tuple(cnot(q, a + q % n) for q in range(a)), {"system": (a, n)})
+    be = BlockEncoding(select, 1.0, prep=anc, unprep=anc)
+    extract_block(be)  # the first call's lazy imports are not the pass's memory
+    tracemalloc.start()
+    try:
+        extract_block(be)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << (a + n)
+
+
 def test_assert_state_stays_on_the_support():
     # A dense vector at width 20 would take 16 MiB; the support takes 20 entries.
     from foqcs.dicke import dicke_state_map, prepare_dicke1
