@@ -1,8 +1,17 @@
-"""Quantum circuit IR: gates, composition, controls, lowering, counting, QASM.
+"""Quantum circuit IR: the gate-kind table, gates, composition, controls,
+lowering, counting and OpenQASM.
 
-Gates carry lowercase kind strings. The lowered target set is
-{x, h, s, sdg, ry, rz, phase, cnot, cz}; everything else rewrites onto it.
-Qubit indices are little-endian (qubit q = bit q of a basis index).
+KINDS has one row per gate kind with every rule the package keeps for it: its
+arity, whether it takes an angle, its exact unitary, its adjoint, its lowering
+onto the target set {x, h, s, sdg, ry, rz, phase, cnot, cz} (None for those
+nine), its controlled counterpart and its OpenQASM name. Gate, control, lower,
+dagger, export_qasm, parse_qasm and the simulator's gate_unitary each read one
+column; GATE_KINDS, LOWERED_KINDS, the per-kind cost that count sums and the
+QASM parser's name map are derived from it. A new kind is one row plus its
+constructor.
+
+Qubit indices are little-endian (qubit q = bit q of a basis index). A
+unitary's local bit i is the gate's operand qubits[i], controls first.
 """
 from __future__ import annotations
 
@@ -10,34 +19,115 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 
+import numpy as np
+
 from .errors import DomainError
 
-# kind -> (arity, takes_angle)
-GATE_KINDS = {
-    "x": (1, False),
-    "h": (1, False),
-    "s": (1, False),
-    "sdg": (1, False),
-    "ry": (1, True),
-    "rz": (1, True),
-    "phase": (1, True),
-    "cnot": (2, False),
-    "cz": (2, False),
-    "cry": (2, True),
-    "crz": (2, True),
-    "cphase": (2, True),
-    "toffoli": (3, False),
-    "gamma": (2, True),
-    "cgamma": (3, True),
+
+def _fixed(m) -> Callable:
+    """The unitary rule of a kind without an angle: one shared read-only array."""
+    u = np.array(m, dtype=complex)
+    u.flags.writeable = False
+    return lambda _angle: u
+
+
+def _controlled(sub: np.ndarray) -> np.ndarray:
+    """Controlled-sub with the control on local bit 0 (odd basis indices)."""
+    u = np.eye(2 * len(sub), dtype=complex)
+    u[1::2, 1::2] = sub
+    return u
+
+
+def _mat_ry(t):
+    c, s_ = math.cos(t / 2), math.sin(t / 2)
+    return np.array([[c, -s_], [s_, c]], dtype=complex)
+
+
+def _mat_rz(t):
+    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
+
+
+def _mat_phase(t):
+    return np.array([[1, 0], [0, np.exp(1j * t)]], dtype=complex)
+
+
+def gamma_matrix(theta: float) -> np.ndarray:
+    """4x4 unitary of gamma on local basis index bit0=first operand, bit1=second."""
+    c, s_ = math.cos(theta / 2), math.sin(theta / 2)
+    g = np.zeros((4, 4), dtype=complex)
+    # columns: input (a,b); rows: output. local index = a + 2b.
+    g[0, 0] = 1.0  # |00> -> |00>
+    g[2, 2] = c  # |a=0,b=1> -> cos|01> + sin|10>
+    g[1, 2] = s_
+    g[3, 1] = 1.0  # |a=1,b=0> -> |11>
+    g[2, 3] = -s_  # |a=1,b=1> -> -sin|01> + cos|10>
+    g[1, 3] = c
+    return g
+
+
+def _self_adjoint(g: Gate) -> list[Gate]:
+    return [g]
+
+
+def _negated(g: Gate) -> list[Gate]:
+    return [Gate(g.kind, g.qubits, -g.angle)]
+
+
+@dataclass(frozen=True)
+class GateKind:
+    """Every rule for one gate kind. adjoint and lowering map a gate of the
+    kind to a gate list; a lowering's length must not depend on the angle,
+    because count reads each kind's cost off one exemplar gate."""
+
+    arity: int
+    angled: bool
+    unitary: Callable[[float | None], np.ndarray]  # angle -> matrix on the local basis
+    adjoint: Callable[[Gate], list[Gate]] | None  # None: the kind has no exact adjoint
+    lowering: Callable[[Gate], list[Gate]] | None = None  # None: already lowered
+    controlled: str | None = None  # the kind with one control prepended
+    qasm: str | None = None  # the OpenQASM 2.0 name of a lowered kind
+
+
+_X = [[0, 1], [1, 0]]
+_CNOT = _controlled(np.array(_X))
+KINDS: dict[str, GateKind] = {
+    "x": GateKind(1, False, _fixed(_X), _self_adjoint, controlled="cnot", qasm="x"),
+    "h": GateKind(1, False, _fixed(np.array([[1, 1], [1, -1]]) / math.sqrt(2)), _self_adjoint,
+                  qasm="h"),
+    "s": GateKind(1, False, _fixed([[1, 0], [0, 1j]]), lambda g: [sdg(*g.qubits)], qasm="s"),
+    "sdg": GateKind(1, False, _fixed([[1, 0], [0, -1j]]), lambda g: [s(*g.qubits)], qasm="sdg"),
+    "ry": GateKind(1, True, _mat_ry, _negated, controlled="cry", qasm="ry"),
+    "rz": GateKind(1, True, _mat_rz, _negated, controlled="crz", qasm="rz"),
+    "phase": GateKind(1, True, _mat_phase, _negated, controlled="cphase", qasm="u1"),
+    "cnot": GateKind(2, False, _fixed(_CNOT), _self_adjoint, controlled="toffoli", qasm="cx"),
+    "cz": GateKind(2, False, _fixed(np.diag([1, 1, 1, -1])), _self_adjoint, qasm="cz"),
+    "cry": GateKind(2, True, lambda t: _controlled(_mat_ry(t)), _negated,
+                    lambda g: _controlled_rotation(ry, *g.qubits, g.angle)),
+    "crz": GateKind(2, True, lambda t: _controlled(_mat_rz(t)), _negated,
+                    lambda g: _controlled_rotation(rz, *g.qubits, g.angle)),
+    "cphase": GateKind(2, True, lambda t: _controlled(_mat_phase(t)), _negated,
+                       lambda g: _cphase_lowering(*g.qubits, g.angle)),
+    # controls bits 0, 1; target bit 2
+    "toffoli": GateKind(3, False, _fixed(_controlled(_CNOT)), _self_adjoint,
+                        lambda g: _toffoli_lowering(*g.qubits)),
+    # The adjoint of gamma is that of its exact 2-CNOT lowering, still 2 CNOTs.
+    "gamma": GateKind(2, True, gamma_matrix,
+                      lambda g: dagger_gates(gamma_lowering(g.angle, *g.qubits)),
+                      lambda g: gamma_lowering(g.angle, *g.qubits), controlled="cgamma"),
+    # control bit 0; (a, b) = bits 1, 2. Its lowering is contextual, so it has no adjoint.
+    "cgamma": GateKind(3, True, lambda t: _controlled(gamma_matrix(t)), None,
+                       lambda g: _cgamma_lowering(*g.qubits, g.angle)),
 }
 
-LOWERED_KINDS = frozenset({"x", "h", "s", "sdg", "ry", "rz", "phase", "cnot", "cz"})
-
+# kind -> (arity, takes_angle)
+GATE_KINDS = {kind: (row.arity, row.angled) for kind, row in KINDS.items()}
+LOWERED_KINDS = frozenset(kind for kind, row in KINDS.items() if row.lowering is None)
 # Two-qubit-gate kinds once lowered (the CNOT-equivalent unit).
-_RAW_TWO_QUBIT = frozenset({"cnot", "cz"})
+_RAW_TWO_QUBIT = frozenset(kind for kind in LOWERED_KINDS if KINDS[kind].arity == 2)
 
 
 @dataclass(frozen=True)
@@ -236,8 +326,9 @@ class BlockEncoding:
             if g is not None:
                 raise DomainError(f"{name} gate {g.kind}{g.qubits} is not on the "
                                   f"{sys_start} ancillae below the system register")
-        if any(g.kind == "cgamma" for g in self.unprep):
-            raise DomainError("unprep must have an exact adjoint; cgamma has none")
+        g = next((g for g in self.unprep if KINDS[g.kind].adjoint is None), None)
+        if g is not None:
+            raise DomainError(f"unprep must have an exact adjoint; {g.kind} has none")
 
     @property
     def width(self) -> int:
@@ -278,16 +369,6 @@ def compose(a: Circuit, b: Circuit, qubit_map: dict[int, int] | None = None) -> 
     return Circuit(a.width, a.gates + bg, a.layout)
 
 
-_CONTROL_MAP = {
-    "x": "cnot",
-    "ry": "cry",
-    "rz": "crz",
-    "phase": "cphase",
-    "cnot": "toffoli",
-    "gamma": "cgamma",
-}
-
-
 def control(g, ctrl: int):
     """Control a gate or a whole circuit by one extra qubit.
 
@@ -300,7 +381,7 @@ def control(g, ctrl: int):
         return Circuit(g.width, tuple(control(gt, ctrl) for gt in g.gates), g.layout)
     if ctrl in g.qubits:
         raise DomainError("control qubit already an operand")
-    new_kind = _CONTROL_MAP.get(g.kind)
+    new_kind = KINDS[g.kind].controlled
     if new_kind is None:
         raise DomainError(f"cannot control a {g.kind} gate; rewrite it first")
     return Gate(new_kind, (ctrl, *g.qubits), g.angle)
@@ -357,35 +438,22 @@ def _toffoli_lowering(c1: int, c2: int, t: int) -> list[Gate]:
     ]
 
 
+def _controlled_rotation(rot, c: int, t: int, theta: float) -> list[Gate]:
+    """cry/crz: rot(theta/2) and rot(-theta/2) on the target, each before a CNOT."""
+    return [rot(theta / 2, t), cnot(c, t), rot(-theta / 2, t), cnot(c, t)]
+
+
+def _cphase_lowering(c: int, t: int, eta: float) -> list[Gate]:
+    return [phase(eta / 2, t), cnot(c, t), phase(-eta / 2, t), phase(eta / 2, c), cnot(c, t)]
+
+
+def _cgamma_lowering(c: int, a: int, b: int, theta: float) -> list[Gate]:
+    return [low for sub in gamma_lowering(theta, a, b, ctrl=c) for low in _lower_gate(sub)]
+
+
 def _lower_gate(g: Gate) -> list[Gate]:
-    if g.kind in LOWERED_KINDS:
-        return [g]
-    if g.kind == "gamma":
-        return gamma_lowering(g.angle, *g.qubits)
-    if g.kind == "cgamma":
-        c, a, b = g.qubits
-        out = []
-        for sub in gamma_lowering(g.angle, a, b, ctrl=c):
-            out.extend(_lower_gate(sub))
-        return out
-    if g.kind == "toffoli":
-        return _toffoli_lowering(*g.qubits)
-    if g.kind == "crz":
-        c, t = g.qubits
-        return [rz(g.angle / 2, t), cnot(c, t), rz(-g.angle / 2, t), cnot(c, t)]
-    if g.kind == "cry":
-        c, t = g.qubits
-        return [ry(g.angle / 2, t), cnot(c, t), ry(-g.angle / 2, t), cnot(c, t)]
-    if g.kind == "cphase":
-        c, t = g.qubits
-        return [
-            phase(g.angle / 2, t),
-            cnot(c, t),
-            phase(-g.angle / 2, t),
-            phase(g.angle / 2, c),
-            cnot(c, t),
-        ]
-    raise DomainError(f"no lowering for {g.kind}")
+    rule = KINDS[g.kind].lowering
+    return [g] if rule is None else rule(g)
 
 
 def lower(c: Circuit) -> Circuit:
@@ -402,14 +470,14 @@ def _lowered_cost(kind: str) -> tuple[int, int]:
     Every lowering has a length that does not depend on the angle, so one
     exemplar gate per kind gives the exact cost of every gate of that kind.
     """
-    arity, angled = GATE_KINDS[kind]
-    lowered = _lower_gate(Gate(kind, tuple(range(arity)), 1.0 if angled else None))
+    row = KINDS[kind]
+    lowered = _lower_gate(Gate(kind, tuple(range(row.arity)), 1.0 if row.angled else None))
     two = sum(1 for g in lowered if g.kind in _RAW_TWO_QUBIT)
     return two, len(lowered) - two
 
 
-# kind -> (two_qubit, single_qubit) gates once lowered, read off _lower_gate.
-_LOWERED_COST = {kind: _lowered_cost(kind) for kind in GATE_KINDS}
+# kind -> (two_qubit, single_qubit) gates once lowered, read off the lowering rules.
+_LOWERED_COST = {kind: _lowered_cost(kind) for kind in KINDS}
 
 
 @dataclass(frozen=True)
@@ -447,32 +515,15 @@ def count(c: Circuit | BlockEncoding) -> CountReport:
                        single)
 
 
-_DAGGER_SELF = frozenset({"x", "h", "cnot", "cz", "toffoli"})
-_DAGGER_NEG_ANGLE = frozenset({"ry", "rz", "phase", "cry", "crz", "cphase"})
-
-
-def _dagger_gate(g: Gate) -> list[Gate]:
-    if g.kind in _DAGGER_SELF:
-        return [g]
-    if g.kind in _DAGGER_NEG_ANGLE:
-        return [Gate(g.kind, g.qubits, -g.angle)]
-    if g.kind == "s":
-        return [sdg(g.qubits[0])]
-    if g.kind == "sdg":
-        return [s(g.qubits[0])]
-    if g.kind == "gamma":
-        # Adjoint of the exact 2-CNOT realization, still 2 CNOTs.
-        seq = gamma_lowering(g.angle, *g.qubits)
-        return [dg for sub in reversed(seq) for dg in _dagger_gate(sub)]
-    raise DomainError(f"no adjoint for {g.kind}; lower it first")
-
-
 def dagger_gates(gates) -> list[Gate]:
-    """Exact adjoint of a gate sequence (rejects cgamma, whose lowering is
-    contextual)."""
+    """Exact adjoint of a gate sequence; a kind without an adjoint rule
+    (cgamma, whose lowering is contextual) raises DomainError."""
     out: list[Gate] = []
     for g in reversed(gates):
-        out.extend(_dagger_gate(g))
+        rule = KINDS[g.kind].adjoint
+        if rule is None:
+            raise DomainError(f"no adjoint for {g.kind}; lower it first")
+        out.extend(rule(g))
     return out
 
 
@@ -483,18 +534,7 @@ def dagger(c: Circuit) -> Circuit:
 
 # --- OpenQASM 2.0 ---
 
-_QASM_NAMES = {
-    "x": "x",
-    "h": "h",
-    "s": "s",
-    "sdg": "sdg",
-    "ry": "ry",
-    "rz": "rz",
-    "phase": "u1",
-    "cnot": "cx",
-    "cz": "cz",
-}
-_QASM_TO_KIND = {v: k for k, v in _QASM_NAMES.items()}
+_QASM_TO_KIND = {row.qasm: kind for kind, row in KINDS.items() if row.qasm is not None}
 
 
 def _qasm_registers(c: Circuit) -> list[tuple[str, int, int]]:
@@ -526,9 +566,9 @@ def export_qasm(c: Circuit) -> str:
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines += [f"qreg {name}[{size}];" for name, _, size in regs]
     for g in c.gates:
-        if g.kind not in _QASM_NAMES:
+        name = KINDS[g.kind].qasm
+        if name is None:
             raise DomainError(f"cannot export unlowered gate {g.kind}; call lower() first")
-        name = _QASM_NAMES[g.kind]
         argl = ",".join(ref(q) for q in g.qubits)
         if g.angle is not None:
             lines.append(f"{name}({g.angle:.17g}) {argl};")

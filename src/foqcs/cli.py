@@ -27,7 +27,7 @@ from .models import (
     random_spin_glass,
     spin_glass_hamiltonian,
 )
-from .pauli import PauliSum, hamiltonian_matrix, one_norm
+from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
 from .sim import assert_state, extract_block
 
 VERIFY_MAX_WIDTH = 21
@@ -42,10 +42,11 @@ def _log(msg: str) -> None:
 
 def _from_json(what: str, build, data):
     """build(data) on decoded JSON. A TypeError or IndexError there means the
-    data has the wrong shape, so it becomes an input error (exit 1)."""
+    data has the wrong shape, and an OverflowError an integer too large for a
+    float, so each becomes an input error (exit 1)."""
     try:
         return build(data)
-    except (TypeError, IndexError) as e:
+    except (TypeError, IndexError, OverflowError) as e:
         raise ValueError(f"malformed {what}: {e}") from e
 
 
@@ -163,6 +164,8 @@ def cmd_verify_block(args) -> int:
         raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
     tol = 1e-10 if args.tol is None else args.tol
     h = hamiltonian()
+    if not h.terms:
+        raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)
     out = {"ok": bool(rep.max_abs_error <= tol), "max_abs_error": rep.max_abs_error,

@@ -29,7 +29,10 @@ class AmplitudeList:
         vec = tuple(complex(a) for a in alphas)
         if len(vec) < 1:
             raise DomainError("need at least one amplitude")
-        norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
+        try:
+            norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
+        except OverflowError as e:  # a finite amplitude whose square overflows
+            raise DomainError("the amplitudes' norm overflows a float") from e
         if not math.isfinite(norm):
             raise DomainError("amplitudes must be finite")
         if norm < 1e-300:

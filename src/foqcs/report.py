@@ -64,7 +64,8 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
     Model coefficients are drawn from `seed` where needed; the draw floor of
     1e-3 keeps every term alive so counts are structure-determined. With
     include_baseline, each spin-model row also counts standard_lcu of the
-    same Hamiltonian.
+    same Hamiltonian. A Dicke kind that needs k is swept over every k in
+    1..n-1 when k is None; an n with no such k raises DomainError.
     """
     spec = DICKE_KINDS.get(model)
     if spec is None and model not in ("heisenberg", "spin_glass"):
@@ -78,6 +79,8 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
     for n in ns:
         if spec is not None:
             ks = ([k] if k is not None else range(1, n)) if spec.needs_k else [None]
+            if not ks:
+                raise DomainError(f"{model} has no k in 1..n-1 at n={n}")
             for kk in ks:
                 actual = count(spec.build(n, kk, None))
                 rows.append(CountRow(model, n, kk, predict(model, n, kk), actual))

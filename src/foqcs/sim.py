@@ -3,7 +3,9 @@
 Amplitudes are complex128 indexed little-endian (qubit q = bit q). Every gate
 kind, composite ones (gamma, cgamma, toffoli, ...) included, is applied in
 place through its exact unitary by one kernel, _apply_unitary, so circuits need
-not be lowered before simulation. The kernel reads the sparsity of the unitary:
+not be lowered before simulation. The unitaries are the `unitary` column of
+circuit.KINDS, which gate_unitary reads; this module keeps no per-kind rule of
+its own. The kernel reads the sparsity of the unitary:
 it skips rows equal to the identity's, scales a diagonal-only row in place,
 multiplies by no coefficient equal to 1, and copies a slice only when a later
 row reads it after it has been overwritten. A CNOT is then one slice copy and
@@ -28,13 +30,12 @@ never built: <0_anc| PL-dagger is the bra of PL|0_anc>.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import KINDS, Circuit, Gate
 from .errors import DomainError, ResourceGuardError
 
 DEFAULT_MAX_WIDTH = 24
@@ -96,78 +97,14 @@ def _bit_view(amps: np.ndarray, width: int, qubits: tuple[int, ...]) -> tuple:
     return amps.reshape(shape), axes
 
 
-def _const(m) -> np.ndarray:
-    u = np.array(m, dtype=complex)
-    u.flags.writeable = False
-    return u
-
-
-def _controlled(sub: np.ndarray) -> np.ndarray:
-    """Controlled-sub with the control on local bit 0 (odd basis indices)."""
-    u = np.eye(2 * len(sub), dtype=complex)
-    u[1::2, 1::2] = sub
-    return u
-
-
-def _mat_ry(t):
-    c, s_ = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s_], [s_, c]], dtype=complex)
-
-
-def _mat_rz(t):
-    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
-
-
-def _mat_phase(t):
-    return np.array([[1, 0], [0, np.exp(1j * t)]], dtype=complex)
-
-
-def gamma_matrix(theta: float) -> np.ndarray:
-    """4x4 unitary of gamma on local basis index bit0=first operand, bit1=second."""
-    c, s_ = math.cos(theta / 2), math.sin(theta / 2)
-    g = np.zeros((4, 4), dtype=complex)
-    # columns: input (a,b); rows: output. local index = a + 2b.
-    g[0, 0] = 1.0  # |00> -> |00>
-    g[2, 2] = c  # |a=0,b=1> -> cos|01> + sin|10>
-    g[1, 2] = s_
-    g[3, 1] = 1.0  # |a=1,b=0> -> |11>
-    g[2, 3] = -s_  # |a=1,b=1> -> -sin|01> + cos|10>
-    g[1, 3] = c
-    return g
-
-
-_X = [[0, 1], [1, 0]]
-_CNOT = _controlled(np.array(_X))
-_FIXED = {
-    "x": _const(_X),
-    "h": _const(np.array([[1, 1], [1, -1]]) / math.sqrt(2)),
-    "s": _const([[1, 0], [0, 1j]]),
-    "sdg": _const([[1, 0], [0, -1j]]),
-    "cnot": _const(_CNOT),
-    "cz": _const(np.diag([1, 1, 1, -1])),
-    "toffoli": _const(_controlled(_CNOT)),  # controls bits 0, 1; target bit 2
-}
-_ANGLED = {
-    "ry": _mat_ry,
-    "rz": _mat_rz,
-    "phase": _mat_phase,
-    "gamma": gamma_matrix,
-    "cry": lambda t: _controlled(_mat_ry(t)),
-    "crz": lambda t: _controlled(_mat_rz(t)),
-    "cphase": lambda t: _controlled(_mat_phase(t)),
-    "cgamma": lambda t: _controlled(gamma_matrix(t)),  # control bit 0; (a, b) = bits 1, 2
-}
-
-
 def gate_unitary(g: Gate) -> np.ndarray:
-    """Exact unitary of any gate kind, on the local basis of g.qubits.
+    """Exact unitary of any gate kind, on the local basis of g.qubits, read
+    from the kind's row in circuit.KINDS.
 
     Local bit i is g.qubits[i]; controls come first. The fixed kinds return
     shared read-only arrays.
     """
-    if g.angle is None:
-        return _FIXED[g.kind]
-    return _ANGLED[g.kind](g.angle)
+    return KINDS[g.kind].unitary(g.angle)
 
 
 def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],

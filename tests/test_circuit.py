@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from foqcs.circuit import (
+    KINDS,
+    LOWERED_KINDS,
     Circuit,
     Gate,
     cgamma,
@@ -271,3 +273,43 @@ def test_circuit_range_error_names_the_first_bad_gate(bad, text, before):
         Circuit(3, ok + (bad, x(7)) + ok)
     assert str(e.value) == text
     Circuit(3, ok + (toffoli(2, 1, 0),) + ok)
+
+
+ONE_GATES = [Gate(kind, (3, 1, 2)[:row.arity], angle) for kind, row in KINDS.items()
+             for angle in ((0.0, math.pi, -math.pi, 1.234) if row.angled else (None,))]
+every_kind = pytest.mark.parametrize("g", ONE_GATES, ids=lambda g: f"{g.kind}-{g.angle}")
+
+
+@every_kind
+def test_control_row_matches_the_unitary(g):
+    # operands (3, 1, 2) unsorted; the control is qubit 0
+    if KINDS[g.kind].controlled is None:
+        with pytest.raises(DomainError):
+            control(g, 0)
+        return
+    u = circuit_unitary(Circuit(4, (g,)))
+    on = np.arange(16) & 1
+    expected = np.diag(1 - on) + np.diag(on) @ u
+    np.testing.assert_allclose(circuit_unitary(Circuit(4, (control(g, 0),))), expected,
+                               atol=1e-14, rtol=0)
+
+
+@every_kind
+def test_adjoint_row_matches_the_unitary(g):
+    if g.kind == "cgamma":
+        with pytest.raises(DomainError):
+            dagger(Circuit(4, (g,)))
+        return
+    u = circuit_unitary(Circuit(4, (g,)))
+    np.testing.assert_allclose(circuit_unitary(dagger(Circuit(4, (g,)))), u.conj().T,
+                               atol=1e-14, rtol=0)
+
+
+@every_kind
+def test_qasm_row_is_set_for_exactly_the_lowered_kinds(g):
+    c = Circuit(4, (g,))
+    if g.kind not in LOWERED_KINDS:
+        with pytest.raises(DomainError):
+            export_qasm(c)
+        return
+    assert parse_qasm(export_qasm(c)).gates == c.gates

@@ -412,3 +412,51 @@ def test_spec_key_the_model_does_not_read_is_an_input_error(tmp_path, capsys, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unknown {model} spec keys ['{key}']" in captured.err
+
+
+HUGE = 10 ** 399  # 400 digits: a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("model, spec", [
+    ("generic", {"n": 2, "terms": [{"coeff": [HUGE, 0], "ops": "XZ"}]}),
+    ("heisenberg", {"n": 2, "gx": HUGE, "jz": 1.0}),
+    ("spin-glass", {"n": 2, "g": [[HUGE, 0.5], [0.3, 0.4], [0.1, 0.9]],
+                    "J": [[[0.7]], [[-0.2]], [[0.6]]]}),
+    ("dicke", {"kind": "d1u", "n": 2, "alphas": [[HUGE, 0], [1, 0]]}),
+], ids=["generic-coeff", "heisenberg-gx", "spin-glass-g", "dicke-alphas"])
+def test_huge_json_integer_is_an_input_error(tmp_path, capsys, model, spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main(["verify", model, "--spec", str(f)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_huge_alphas_flag_integer_is_an_input_error(capsys):
+    assert main(["verify", "dicke", "--kind", "d1u", "--n", "2",
+                 "--alphas", json.dumps([[HUGE, 0], [1, 0]])]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_amplitude_norm_overflow_is_a_domain_error(capsys):
+    assert main(["verify", "dicke", "--kind", "d1u", "--n", "2",
+                 "--alphas", "[[1e200, 0], [1, 0]]"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_hamiltonian_below_the_term_cutoff_is_a_domain_error(capsys):
+    # every term is dropped, so H/||H||_1 would be 0/0
+    assert main(["verify", "heisenberg", "--n", "2", "--gx", "1e-16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cutoff" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "dicke", "--kind", "d2k", "--n", "1"],
+    ["counts", "dicke", "--kind", "d2kd", "--n", "1,2"],
+], ids=["d2k-n1", "d2kd-n1-first"])
+def test_counts_dicke_n_without_a_k_is_rejected(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no k" in captured.err
