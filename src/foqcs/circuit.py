@@ -8,7 +8,8 @@ nine), its controlled counterpart and its OpenQASM name. Gate, control, lower,
 dagger, export_qasm, parse_qasm and the simulator's gate_unitary each read one
 column; GATE_KINDS, LOWERED_KINDS, the per-kind cost that count sums and the
 QASM parser's name map are derived from it. A new kind is one row plus its
-constructor.
+constructor, which builds the Gate tuple directly and checks what its
+signature leaves open (distinct operands, a finite angle).
 
 Qubit indices are little-endian (qubit q = bit q of a basis index). A
 unitary's local bit i is the gate's operand qubits[i], controls first.
@@ -22,6 +23,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -130,93 +132,161 @@ LOWERED_KINDS = frozenset(kind for kind, row in KINDS.items() if row.lowering is
 _RAW_TWO_QUBIT = frozenset(kind for kind in LOWERED_KINDS if KINDS[kind].arity == 2)
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
 
-    def __post_init__(self):
-        spec = GATE_KINDS.get(self.kind)
+
+class Gate(_GateFields):
+    """One gate: the immutable tuple (kind, qubits, angle), checked against
+    its KINDS row when it is made. It equals and hashes as that plain tuple.
+
+    _make and _replace build through the same checks. The per-kind
+    constructors below build the tuple directly and check only what their
+    signatures leave open: distinct operands and a finite angle.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: tuple[int, ...], angle: float | None = None):
+        spec = GATE_KINDS.get(kind)
         if spec is None:
-            raise DomainError(f"unknown gate kind {self.kind!r}")
+            raise DomainError(f"unknown gate kind {kind!r}")
         arity, angled = spec
-        if len(self.qubits) != arity:
-            raise DomainError(
-                f"{self.kind} takes {arity} qubits, got {len(self.qubits)}"
-            )
-        if arity > 1 and len(set(self.qubits)) != arity:
-            raise DomainError(f"{self.kind} operands must be distinct: {self.qubits}")
+        if len(qubits) != arity:
+            raise DomainError(f"{kind} takes {arity} qubits, got {len(qubits)}")
+        if arity > 1 and len(set(qubits)) != arity:
+            _not_distinct(kind, qubits)
         if angled:
             try:
-                finite = math.isfinite(self.angle)  # the value is stored unchanged
+                finite = math.isfinite(angle)  # the value is stored unchanged
             except TypeError:
                 finite = False
             if not finite:
-                raise DomainError(f"{self.kind}: angle must be a finite number, got {self.angle!r}")
-        elif self.angle is not None:
-            raise DomainError(f"{self.kind}: angle not allowed")
+                _not_finite(kind, angle)
+        elif angle is not None:
+            raise DomainError(f"{kind}: angle not allowed")
+        return _new(cls, (kind, qubits, angle))
+
+    @classmethod
+    def _make(cls, iterable) -> Gate:
+        return cls(*iterable)
+
+
+# Builds a Gate without Gate.__new__'s checks. Only Gate.__new__ and the
+# per-kind constructors below, which check what their signatures leave open,
+# may call it.
+_new = tuple.__new__
+
+
+def _not_distinct(kind: str, qubits: tuple) -> NoReturn:
+    raise DomainError(f"{kind} operands must be distinct: {qubits}")
+
+
+def _not_finite(kind: str, angle) -> NoReturn:
+    raise DomainError(f"{kind}: angle must be a finite number, got {angle!r}")
 
 
 def x(q):
-    return Gate("x", (q,))
+    return _new(Gate, ("x", (q,), None))
 
 
 def h(q):
-    return Gate("h", (q,))
+    return _new(Gate, ("h", (q,), None))
 
 
 def s(q):
-    return Gate("s", (q,))
+    return _new(Gate, ("s", (q,), None))
 
 
 def sdg(q):
-    return Gate("sdg", (q,))
+    return _new(Gate, ("sdg", (q,), None))
 
 
 def ry(theta, q):
-    return Gate("ry", (q,), float(theta))
+    theta = float(theta)
+    if not math.isfinite(theta):
+        _not_finite("ry", theta)
+    return _new(Gate, ("ry", (q,), theta))
 
 
 def rz(theta, q):
-    return Gate("rz", (q,), float(theta))
+    theta = float(theta)
+    if not math.isfinite(theta):
+        _not_finite("rz", theta)
+    return _new(Gate, ("rz", (q,), theta))
 
 
 def phase(eta, q):
-    return Gate("phase", (q,), float(eta))
+    eta = float(eta)
+    if not math.isfinite(eta):
+        _not_finite("phase", eta)
+    return _new(Gate, ("phase", (q,), eta))
 
 
 def cnot(c, t):
-    return Gate("cnot", (c, t))
+    if c == t:
+        _not_distinct("cnot", (c, t))
+    return _new(Gate, ("cnot", (c, t), None))
 
 
 def cz(a, b):
-    return Gate("cz", (a, b))
+    if a == b:
+        _not_distinct("cz", (a, b))
+    return _new(Gate, ("cz", (a, b), None))
 
 
 def cry(theta, c, t):
-    return Gate("cry", (c, t), float(theta))
+    theta = float(theta)
+    if c == t:
+        _not_distinct("cry", (c, t))
+    if not math.isfinite(theta):
+        _not_finite("cry", theta)
+    return _new(Gate, ("cry", (c, t), theta))
 
 
 def crz(theta, c, t):
-    return Gate("crz", (c, t), float(theta))
+    theta = float(theta)
+    if c == t:
+        _not_distinct("crz", (c, t))
+    if not math.isfinite(theta):
+        _not_finite("crz", theta)
+    return _new(Gate, ("crz", (c, t), theta))
 
 
 def cphase(eta, c, t):
-    return Gate("cphase", (c, t), float(eta))
+    eta = float(eta)
+    if c == t:
+        _not_distinct("cphase", (c, t))
+    if not math.isfinite(eta):
+        _not_finite("cphase", eta)
+    return _new(Gate, ("cphase", (c, t), eta))
 
 
 def toffoli(c1, c2, t):
-    return Gate("toffoli", (c1, c2, t))
+    if c1 == c2 or c1 == t or c2 == t:
+        _not_distinct("toffoli", (c1, c2, t))
+    return _new(Gate, ("toffoli", (c1, c2, t), None))
 
 
 def gamma(theta, a, b):
     """Two-qubit excitation-cascade gate: CRy(theta; b->a) followed by CNOT(a->b)."""
-    return Gate("gamma", (a, b), float(theta))
+    theta = float(theta)
+    if a == b:
+        _not_distinct("gamma", (a, b))
+    if not math.isfinite(theta):
+        _not_finite("gamma", theta)
+    return _new(Gate, ("gamma", (a, b), theta))
 
 
 def cgamma(theta, c, a, b):
-    return Gate("cgamma", (c, a, b), float(theta))
+    theta = float(theta)
+    if c == a or c == b or a == b:
+        _not_distinct("cgamma", (c, a, b))
+    if not math.isfinite(theta):
+        _not_finite("cgamma", theta)
+    return _new(Gate, ("cgamma", (c, a, b), theta))
 
 
 _RANGE_CHUNK = 512  # gates per min/max pass of _first_out_of_range
@@ -236,6 +306,13 @@ def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
         if min(qubits) < 0 or max(qubits) >= width:
             return next(g for g in chunk if min(g.qubits) < 0 or max(g.qubits) >= width)
     return None
+
+
+def _index(v, what: str) -> int:
+    """v, which must be an int (not a bool), as read from a circuit's JSON form."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -286,11 +363,19 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
+        """The circuit of to_dict's form; the width, each layout entry and each
+        qubit must be an int (bool rejected)."""
         gates = tuple(
-            Gate(g["kind"], tuple(g["qubits"]), g.get("angle")) for g in d["gates"]
+            Gate(g["kind"], tuple(_index(q, "qubit") for q in g["qubits"]), g.get("angle"))
+            for g in d["gates"]
         )
-        layout = {k: (int(v[0]), int(v[1])) for k, v in d.get("layout", {}).items()}
-        return cls(int(d["width"]), gates, layout)
+        layout = {}
+        for k, v in d.get("layout", {}).items():
+            if len(v) != 2:
+                raise DomainError(f"register {k!r} must be [start, size], got {v!r}")
+            layout[k] = (_index(v[0], f"register {k!r} start"),
+                         _index(v[1], f"register {k!r} size"))
+        return cls(_index(d["width"], "width"), gates, layout)
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
@@ -556,20 +641,15 @@ def _qasm_registers(c: Circuit) -> list[tuple[str, int, int]]:
 def export_qasm(c: Circuit) -> str:
     """Serialize a lowered circuit as OpenQASM 2.0 (one qreg per register)."""
     regs = _qasm_registers(c)
-
-    def ref(q: int) -> str:
-        for name, start, size in regs:
-            if start <= q < start + size:
-                return f"{name}[{q - start}]"
-        raise DomainError(f"qubit {q} not in any register")
-
+    # The registers tile [0, width) in order, so ref[q] names qubit q.
+    ref = [f"{name}[{i}]" for name, _, size in regs for i in range(size)]
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines += [f"qreg {name}[{size}];" for name, _, size in regs]
     for g in c.gates:
         name = KINDS[g.kind].qasm
         if name is None:
             raise DomainError(f"cannot export unlowered gate {g.kind}; call lower() first")
-        argl = ",".join(ref(q) for q in g.qubits)
+        argl = ",".join([ref[q] for q in g.qubits])
         if g.angle is not None:
             lines.append(f"{name}({g.angle:.17g}) {argl};")
         else:

@@ -67,15 +67,16 @@ def unbalanced_angles(a: AmplitudeList) -> DickeAngles:
     the angle is 0, and arccos arguments are clamped against rounding.
     """
     mags = [abs(v) for v in a.alphas]
-    n = len(mags)
-    thetas = []
-    for l in range(1, n):
-        rem = 1.0 - sum(m * m for m in mags[: n - l - 1])
+    thetas = []  # theta_{n-1} first: site j = n-l-1 runs upward from 0
+    placed = 0.0  # sum_{i<j} |a_i|^2, added in index order
+    for m in mags[:-1]:
+        rem = 1.0 - placed
         if rem < _DEGENERATE_TOL:
             thetas.append(0.0)
         else:
-            ratio = min(1.0, max(0.0, mags[n - l - 1] / math.sqrt(rem)))
-            thetas.append(2.0 * math.acos(ratio))
+            thetas.append(2.0 * math.acos(min(1.0, max(0.0, m / math.sqrt(rem)))))
+        placed += m * m
+    thetas.reverse()
     etas = tuple(cmath.phase(v) if abs(v) > 0 else 0.0 for v in a.alphas)
     return DickeAngles(tuple(thetas), etas)
 

@@ -1,7 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foqcs.circuit import (
     KINDS,
@@ -241,6 +244,28 @@ def test_circuit_validation():
         cnot(1, 1)
 
 
+@pytest.mark.parametrize("d, text", [
+    ({"width": 2, "gates": [{"kind": "x", "qubits": [1.5]}]}, "qubit must be an integer, got 1.5"),
+    ({"width": 2, "gates": [{"kind": "x", "qubits": ["0"]}]}, "qubit must be an integer, got '0'"),
+    ({"width": 2, "gates": [{"kind": "cnot", "qubits": [0, True]}]},
+     "qubit must be an integer, got True"),
+    ({"width": 2.7, "gates": []}, "width must be an integer, got 2.7"),
+    ({"width": True, "gates": []}, "width must be an integer, got True"),
+    ({"width": 2, "gates": [], "layout": {"a": [0.0, 2]}},
+     "register 'a' start must be an integer, got 0.0"),
+    ({"width": 2, "gates": [], "layout": {"a": [0, "2"]}},
+     "register 'a' size must be an integer, got '2'"),
+    ({"width": 2, "gates": [], "layout": {"a": [0, 1, 1]}},
+     "register 'a' must be [start, size], got [0, 1, 1]"),
+])
+def test_from_dict_rejects_non_integer_indices(d, text):
+    # Once a float qubit was counted and exported as "x q[1.5];", a string one
+    # ended in a TypeError, and a float width was truncated.
+    with pytest.raises(DomainError) as e:
+        Circuit.from_dict(d)
+    assert str(e.value) == text
+
+
 def test_gate_angle_must_be_finite_number():
     for bad in (float("nan"), float("inf"), -float("inf"), "0.5", None):
         with pytest.raises(DomainError):
@@ -313,3 +338,80 @@ def test_qasm_row_is_set_for_exactly_the_lowered_kinds(g):
             export_qasm(c)
         return
     assert parse_qasm(export_qasm(c)).gates == c.gates
+
+
+# kind -> its constructor; the reference below is each constructor's body
+# before it built its tuple directly: Gate(kind, operands, float(angle)).
+CONSTRUCTORS = {"x": x, "h": h, "s": s, "sdg": sdg, "ry": ry, "rz": rz, "phase": phase,
+                "cnot": cnot, "cz": cz, "cry": cry, "crz": crz, "cphase": cphase,
+                "toffoli": toffoli, "gamma": gamma, "cgamma": cgamma}
+ANY_ANGLE = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), None, "0.5", "nan", "x",
+                     True, 2, 1j, [0.5]]),
+    st.integers(-10, 10),
+)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as e:  # the comparison is of what each raises
+        return type(e), str(e)
+
+
+def test_every_kind_has_a_constructor():
+    assert set(CONSTRUCTORS) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)
+def test_constructor_matches_the_generic_gate(kind, data):
+    row = KINDS[kind]
+    if data is None:  # repeated operands and a NaN angle together
+        ops, angle = (1,) * row.arity, float("nan")
+    else:
+        ops = tuple(data.draw(st.lists(st.integers(0, 2), min_size=row.arity,
+                                       max_size=row.arity)))
+        angle = data.draw(ANY_ANGLE) if row.angled else None
+    args = (angle, *ops) if row.angled else ops
+    got = _outcome(CONSTRUCTORS[kind], *args)
+    want = _outcome(lambda *a: Gate(kind, ops, float(a[0]) if row.angled else None), *args)
+    assert got == want
+    if isinstance(want, Gate):
+        assert type(got) is Gate and type(got.angle) is type(want.angle)
+        assert Gate._make(got) == got
+
+
+def test_make_and_replace_check_like_the_constructor():
+    g = cnot(0, 1)
+    for bad, text in [
+        (lambda: g._replace(qubits=(1, 1)), "cnot operands must be distinct: (1, 1)"),
+        (lambda: g._replace(angle=0.5), "cnot: angle not allowed"),
+        (lambda: g._replace(kind="ry"), "ry takes 1 qubits, got 2"),
+        (lambda: Gate._make(("bogus", (0,), None)), "unknown gate kind 'bogus'"),
+        (lambda: Gate._make(("ry", (0,), float("nan"))),
+         "ry: angle must be a finite number, got nan"),
+        (lambda: Gate._make(("rz", (0,))), "rz: angle must be a finite number, got None"),
+    ]:
+        with pytest.raises(DomainError) as e:
+            bad()
+        assert str(e.value) == text
+    assert g._replace(qubits=(2, 0)) == cnot(2, 0)
+    assert Gate._make(("ry", (0,), 0.5)) == ry(0.5, 0)
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_a_gate_is_an_immutable_plain_tuple():
+    g = ry(0.5, 3)
+    assert g == ("ry", (3,), 0.5) and hash(g) == hash(("ry", (3,), 0.5))
+    assert repr(g) == "Gate(kind='ry', qubits=(3,), angle=0.5)"
+    with pytest.raises(AttributeError):
+        g.angle = 1.0
+    with pytest.raises(AttributeError):
+        g.label = "a"
+    with pytest.raises(TypeError):
+        g[2] = 1.0
+    assert g == ("ry", (3,), 0.5)

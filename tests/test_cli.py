@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -110,6 +111,42 @@ def test_counts_deterministic(tmp_path):
     main(["counts", "spin-glass", "--n", "2:4", "--seed", "9", "-o", str(a)])
     main(["counts", "spin-glass", "--n", "2:4", "--seed", "9", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# The count_sweep benchmark's command lists at benchmark seeds 1-3, with the
+# sha256 of each CSV as first written. The CSVs hold only integer counts of
+# models drawn from seeded PCG64 generators, so the digests do not depend on
+# the platform; a changed count, row or column fails here.
+GOLDEN_COUNTS = [
+    ("heisenberg --n 2:64 --seed 249090651",
+     "2c330e1b57792745f01e7ff2ee2615e0a710315712b06d93984289416907ea91"),
+    ("spin-glass --n 2:24 --seed 2142223721",
+     "994d8c408dc5c4a1b350612ca9ef8de76e843245894e669442eca99fdc6243c7"),
+    ("dicke --kind d2k --n 2:32",
+     "54c0c587d6f52227a1104bfc08d133e1141a4066abfefff79d1962d37a99a809"),
+    ("dicke --kind d2kd --n 2:32",
+     "39b52f6a8323d664d3dcae3cb85f7a0cb3473ab103a61c52c88203a298e94dcc"),
+    ("heisenberg --n 2:16 --baseline --seed 1991838771",
+     "27971014d03e982f41950f3eb80b15d9d475eb9db913066b0f6c5c670c4f724d"),
+    ("heisenberg --n 2:64 --seed 1744689842",
+     "2c330e1b57792745f01e7ff2ee2615e0a710315712b06d93984289416907ea91"),
+    ("spin-glass --n 2:24 --seed 1428056809",
+     "e195c9a3fa3705bea6b4ebaa3e902bb7c611716597a9dac5870127dc1b42cad8"),
+    ("heisenberg --n 2:16 --baseline --seed 360912188",
+     "abd45fb5b4875968642047f8bd4599ed4edbda383b818012e5cca4cfac57a4f1"),
+    ("heisenberg --n 2:64 --seed 1399346721",
+     "2c330e1b57792745f01e7ff2ee2615e0a710315712b06d93984289416907ea91"),
+    ("spin-glass --n 2:24 --seed 135640209",
+     "4b160925ea0a17c73f631416c02a81d03b4a60a10981c2b6ad00fa1bf1ec89a9"),
+    ("heisenberg --n 2:16 --baseline --seed 1299262589",
+     "2af0c62badae2c71ad577d2555f2fe9378c03433a2e8a8463adc98d735e49e9f"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_COUNTS, ids=[a for a, _ in GOLDEN_COUNTS])
+def test_counts_csv_is_byte_identical_to_the_golden_digest(capsys, args, digest):
+    assert main(["counts", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_dicke_spec_file(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from foqcs.circuit import count
 from foqcs.dicke import (
@@ -38,6 +42,57 @@ def test_all_weight_on_site_zero():
     ang = unbalanced_angles(AmplitudeList([1.0] + [0.0] * 5))
     assert ang.thetas[-1] == 0.0
     assert all(t == 0.0 for t in ang.thetas)
+
+
+def _quadratic_angles(mags):
+    """(theta_l, remaining weight) for l = 1..n-1 by the formula as first
+    written, which re-sums each prefix: O(n^2). The reference for the running sum."""
+    n = len(mags)
+    out = []
+    for l in range(1, n):
+        rem = 1.0 - sum(m * m for m in mags[: n - l - 1])
+        if rem < 1e-14:
+            out.append((0.0, rem))
+        else:
+            ratio = min(1.0, max(0.0, mags[n - l - 1] / math.sqrt(rem)))
+            out.append((2.0 * math.acos(ratio), rem))
+    return out
+
+
+# Before 3.12, sum() of floats adds left to right as the running sum does, so
+# the angles agree to the bit. From 3.12 sum() is compensated: the reference's
+# remaining weight can differ by a few ulp of 1, so the ratio cos(theta/2) =
+# |a_j| / sqrt(rem) may differ by a few ulp over rem.
+EXACT_SUM = sys.version_info < (3, 12)
+AMPLITUDE = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(1e-6, 1.0),
+                                              st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(AMPLITUDE, min_size=1, max_size=24))
+@example([1.0, 0.0, 0.0, 0.0])  # all weight placed at site 0
+@example([0.6, 0.8, 0.0, 0.0, 0.0])  # the weight runs out partway: rem < 1e-14
+@example([0.0, 0.0, 1j, 0.5])
+def test_unbalanced_angles_match_the_quadratic_formula(alphas):
+    assume(any(alphas))  # an all-zero list has no angles: AmplitudeList rejects it
+    a = AmplitudeList(alphas)
+    mags = [abs(v) for v in a.alphas]
+    got = unbalanced_angles(a).thetas
+    want = _quadratic_angles(mags)
+    assert len(got) == len(want)
+    if EXACT_SUM:
+        assert [t.hex() for t in got] == [t.hex() for t, _ in want]
+        return
+    for t, (w, rem) in zip(got, want):
+        if rem >= 2e-14:  # near 1e-14 a few ulp can flip the degenerate branch
+            tol = 8 * len(mags) * sys.float_info.epsilon / rem
+            assert math.cos(t / 2) == pytest.approx(math.cos(w / 2), rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("alphas", [[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0, 0.0]])
+def test_degenerate_branch_is_reached(alphas):
+    mags = [abs(v) for v in AmplitudeList(alphas).alphas]
+    assert min(rem for _, rem in _quadratic_angles(mags)) < 1e-14
 
 
 def test_unbalanced_prep_matches_amplitudes():
