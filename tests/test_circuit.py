@@ -376,9 +376,8 @@ def test_constructor_matches_the_generic_gate(kind, data):
         ops = tuple(data.draw(st.lists(st.integers(0, 2), min_size=row.arity,
                                        max_size=row.arity)))
         angle = data.draw(ANY_ANGLE) if row.angled else None
-    args = (angle, *ops) if row.angled else ops
-    got = _outcome(CONSTRUCTORS[kind], *args)
-    want = _outcome(lambda *a: Gate(kind, ops, float(a[0]) if row.angled else None), *args)
+    got = _outcome(CONSTRUCTORS[kind], *((angle, *ops) if row.angled else ops))
+    want = _outcome(lambda: Gate(kind, ops, float(angle)) if row.angled else Gate(kind, ops))
     assert got == want
     if isinstance(want, Gate):
         assert type(got) is Gate and type(got.angle) is type(want.angle)
