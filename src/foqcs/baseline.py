@@ -138,8 +138,9 @@ def _controlled_pauli_gates(ops: str, ctrl: int, sys_base: int) -> list[Gate]:
 
 def standard_lcu(h: PauliSum) -> BlockEncoding:
     """Fig-textbook LCU: PR on ceil(log2 M) ancillae, per-term multi-controlled
-    Pauli strings resolved through a clean work-ancilla Toffoli chain, PL-dagger.
-    The chain returns the work ancillae to |0>, so they are post-selected too."""
+    Pauli strings resolved through a clean work-ancilla Toffoli chain, and
+    PL-dagger, with PL = conj(PR) as in every encoding. The chain returns the
+    work ancillae to |0>, so they are post-selected too."""
     m_terms = len(h.terms)
     if m_terms < 1:
         raise DomainError("empty operator")
@@ -192,5 +193,4 @@ def standard_lcu(h: PauliSum) -> BlockEncoding:
         gates += flips
 
     return BlockEncoding(Circuit(width, tuple(gates), layout), norm,
-                         prep=state_prep_gates(amps, anc),
-                         unprep=state_prep_gates(np.conj(amps), anc))
+                         prep=state_prep_gates(amps, anc))

@@ -132,6 +132,16 @@ LOWERED_KINDS = frozenset(kind for kind, row in KINDS.items() if row.lowering is
 _RAW_TWO_QUBIT = frozenset(kind for kind in LOWERED_KINDS if KINDS[kind].arity == 2)
 
 
+def _is_diagonal(row: GateKind) -> bool:
+    u = row.unitary(1.0 if row.angled else None)
+    return np.array_equal(u, np.diag(np.diag(u)))
+
+
+# Kinds whose unitary, read at one exemplar angle, is diagonal: each is its own
+# transpose, and every other kind is real.
+DIAGONAL_KINDS = frozenset(kind for kind, row in KINDS.items() if _is_diagonal(row))
+
+
 class _GateFields(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
@@ -293,16 +303,20 @@ _RANGE_CHUNK = 512  # gates per min/max pass of _first_out_of_range
 
 
 def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
-    """The first gate with a qubit outside [0, width), or None.
+    """The first gate with a qubit outside [0, width), or None; a non-int
+    qubit (a bool too, as in _index) raises DomainError.
 
-    One min/max over the qubits of each chunk of gates; a chunk is searched
-    gate by gate only on a failure. Chunks keep the flattened list small: one
-    list over a whole lowered circuit (38k gates for spin glass n=24) raised
-    the peak RSS of `encode` by about 0.5 MB.
+    One type set and min/max over the qubits of each chunk of gates; a chunk is
+    searched gate by gate only on a failure. Chunks keep the flattened list
+    small: one list over a whole lowered circuit (38k gates for spin glass
+    n=24) raised the peak RSS of `encode` by about 0.5 MB.
     """
     for start in range(0, len(gates), _RANGE_CHUNK):
         chunk = gates[start:start + _RANGE_CHUNK]
         qubits = [q for g in chunk for q in g.qubits]
+        if not set(map(type, qubits)) <= {int}:
+            g = next(g for g in chunk if not set(map(type, g.qubits)) <= {int})
+            raise DomainError(f"gate {g.kind}{g.qubits}: qubits must be integers")
         if min(qubits) < 0 or max(qubits) >= width:
             return next(g for g in chunk if min(g.qubits) < 0 or max(g.qubits) >= width)
     return None
@@ -385,35 +399,33 @@ class Circuit:
 @dataclass(frozen=True)
 class BlockEncoding:
     """The LCU product PL-dagger . SELECT . PR and its normalization N
-    (block = H/N), kept as its three parts.
+    (block = H/N), kept as SELECT and PR.
 
     select is the full-width middle and carries the layout: its "system"
     register holds the top qubits, and every qubit below it is an ancilla
-    post-selected on |0>. prep (PR) and unprep (PL as built, not its adjoint)
-    act on those ancillae alone. A flat circuit is a select-only encoding.
+    post-selected on |0>. prep (PR) acts on those ancillae alone. PL is not
+    stored: it is conj(PR), which prepares the conjugate amplitudes, so
+    PL-dagger is the transpose of PR. A flat circuit is a select-only encoding.
     """
 
     select: Circuit
     normalization: float
     prep: tuple[Gate, ...] = ()
-    unprep: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "prep", tuple(self.prep))
-        object.__setattr__(self, "unprep", tuple(self.unprep))
         if "system" not in self.layout:
             raise DomainError('a block encoding needs a "system" register')
         sys_start, n = self.layout["system"]
         if sys_start + n != self.width:
             raise DomainError("system register must occupy the top qubits")
-        for name, part in (("prep", self.prep), ("unprep", self.unprep)):
-            g = _first_out_of_range(part, sys_start)
-            if g is not None:
-                raise DomainError(f"{name} gate {g.kind}{g.qubits} is not on the "
-                                  f"{sys_start} ancillae below the system register")
-        g = next((g for g in self.unprep if KINDS[g.kind].adjoint is None), None)
+        g = _first_out_of_range(self.prep, sys_start)
         if g is not None:
-            raise DomainError(f"unprep must have an exact adjoint; {g.kind} has none")
+            raise DomainError(f"prep gate {g.kind}{g.qubits} is not on the "
+                              f"{sys_start} ancillae below the system register")
+        g = next((g for g in self.prep if KINDS[g.kind].adjoint is None), None)
+        if g is not None:
+            raise DomainError(f"prep must have an exact transpose; {g.kind} has none")
 
     @property
     def width(self) -> int:
@@ -429,8 +441,8 @@ class BlockEncoding:
 
     @property
     def circuit(self) -> Circuit:
-        """The flat circuit PR, SELECT, PL-dagger, built on each access."""
-        gates = self.prep + self.select.gates + tuple(dagger_gates(self.unprep))
+        """The flat circuit PR, SELECT, PL-dagger = PR-transpose, built per access."""
+        gates = self.prep + self.select.gates + tuple(transpose_gates(self.prep))
         return Circuit(self.width, gates, self.layout)
 
 
@@ -585,11 +597,11 @@ def count(c: Circuit | BlockEncoding) -> CountReport:
     """Tally the gates by kind and sum each kind's lowered cost; the circuit
     itself is never lowered.
 
-    An encoding counts as its flat circuit, but from PR, SELECT and PL as
-    built: the adjoint of each gate PL may hold has that gate's lowered cost
-    and composite counts, so PL-dagger is never built.
+    An encoding counts as its flat circuit, but from PR and SELECT as built,
+    PR twice: a gate's transpose has that gate's lowered cost and composite
+    counts, so PL-dagger is never built.
     """
-    gates = chain(c.prep, c.select.gates, c.unprep) if isinstance(c, BlockEncoding) else c.gates
+    gates = chain(c.prep, c.select.gates, c.prep) if isinstance(c, BlockEncoding) else c.gates
     tally = Counter(g.kind for g in gates)
     two = single = 0
     for kind, n in tally.items():
@@ -610,6 +622,13 @@ def dagger_gates(gates) -> list[Gate]:
             raise DomainError(f"no adjoint for {g.kind}; lower it first")
         out.extend(rule(g))
     return out
+
+
+def transpose_gates(gates) -> list[Gate]:
+    """Exact transpose of a gate sequence: a diagonal kind is its own transpose,
+    and every other kind is real, so its transpose is its adjoint."""
+    return [t for g in reversed(gates)
+            for t in ([g] if g.kind in DIAGONAL_KINDS else dagger_gates([g]))]
 
 
 def dagger(c: Circuit) -> Circuit:

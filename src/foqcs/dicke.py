@@ -42,9 +42,6 @@ class AmplitudeList:
     def __len__(self) -> int:
         return len(self.alphas)
 
-    def conjugate(self) -> "AmplitudeList":
-        return AmplitudeList(tuple(a.conjugate() for a in self.alphas))
-
 
 @dataclass(frozen=True)
 class DickeAngles:

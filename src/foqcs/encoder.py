@@ -1,11 +1,11 @@
-"""Complete block-encoding assemblies: SELECT, PR/PL oracles, spin models.
+"""Complete block-encoding assemblies: SELECT, PR oracles, spin models.
 
 Register layout is [subpr | x_anc | z_anc | system] in ascending qubit order.
 The SELECT oracle is one layer of CNOTs (x ancilla l -> system l) followed by
 one layer of CZs (z ancilla l -> system l). PR prepares square-rooted
-coefficients on the ancillae; PL prepares their complex conjugates, so the
-product of paired amplitudes reproduces each coefficient exactly regardless of
-square-root branch.
+coefficients v_a on the ancillae. PL is conj(PR), which prepares their complex
+conjugates, so conj(conj(v_a)) v_a = v_a^2 reproduces each coefficient exactly
+regardless of square-root branch; each encoder builds PR alone.
 """
 from __future__ import annotations
 
@@ -47,12 +47,11 @@ def select_gates(x_base: int, z_base: int, sys_base: int, n: int) -> list[Gate]:
     return layer1 + layer2
 
 
-def _assemble(layout, prep_gates, normalization: float) -> BlockEncoding:
-    """PR, SELECT and PL; prep_gates(conjugate) lists the gates of PR
-    (conjugate False) or PL (conjugate True)."""
+def _assemble(layout, prep: list[Gate], normalization: float) -> BlockEncoding:
+    """PR's gates and the check-matrix SELECT over layout; PL is conj(PR)."""
     (xb, n), (zb, _), (sb, _) = layout["x_anc"], layout["z_anc"], layout["system"]
     select = Circuit(sb + n, tuple(select_gates(xb, zb, sb, n)), layout)
-    return BlockEncoding(select, normalization, prep=prep_gates(False), unprep=prep_gates(True))
+    return BlockEncoding(select, normalization, prep=prep)
 
 
 def select_oracle(n: int) -> Circuit:
@@ -80,9 +79,7 @@ def generic_foqcs(h: PauliSum) -> BlockEncoding:
     for ct in check_decompose(h):
         amps[ct.i | (ct.j << n)] = np.sqrt(ct.alpha_prime / norm)
     layout = {"x_anc": (0, n), "z_anc": (n, n), "system": (2 * n, n)}
-    anc = list(range(2 * n))
-    return _assemble(
-        layout, lambda conj: state_prep_gates(np.conj(amps) if conj else amps, anc), norm)
+    return _assemble(layout, state_prep_gates(amps, list(range(2 * n))), norm)
 
 
 # --- Heisenberg model ---
@@ -103,13 +100,10 @@ def _heisenberg_subpr_amps(p: HeisenbergParams) -> AmplitudeList:
     return AmplitudeList(amp)
 
 
-def _heisenberg_pr_gates(p: HeisenbergParams, x_base: int, z_base: int,
-                         conjugate: bool) -> list[Gate]:
+def _heisenberg_pr_gates(p: HeisenbergParams, x_base: int, z_base: int) -> list[Gate]:
     """Compact PR network: shared staircases, two controlled ladders, one copy."""
     n = p.n
     amps = _heisenberg_subpr_amps(p)
-    if conjugate:
-        amps = amps.conjugate()
     w = _H_WIRES
     gates = dicke._body_gates(6, list(range(6)), amps)
 
@@ -137,13 +131,11 @@ def _heisenberg_pr_gates(p: HeisenbergParams, x_base: int, z_base: int,
     return gates
 
 
-def _heisenberg_pr_gates_uncompressed(p: HeisenbergParams, x_base: int, z_base: int,
-                                      conjugate: bool) -> list[Gate]:
+def _heisenberg_pr_gates_uncompressed(p: HeisenbergParams, x_base: int,
+                                      z_base: int) -> list[Gate]:
     """Literal controlled-Dicke network; retained to power equivalence tests."""
     n = p.n
     amps = _heisenberg_subpr_amps(p)
-    if conjugate:
-        amps = amps.conjugate()
     w = _H_WIRES
     width = max(x_base, z_base) + n
     gates = dicke._body_gates(6, list(range(6)), amps)
@@ -169,16 +161,15 @@ def heisenberg_pr(p: HeisenbergParams, compact: bool = True) -> Circuit:
     n = p.n
     layout = {"subpr": (0, 6), "x_anc": (6, n), "z_anc": (6 + n, n)}
     build = _heisenberg_pr_gates if compact else _heisenberg_pr_gates_uncompressed
-    return Circuit(6 + 2 * n, tuple(build(p, 6, 6 + n, False)), layout)
+    return Circuit(6 + 2 * n, tuple(build(p, 6, 6 + n)), layout)
 
 
 def heisenberg_encoding(p: HeisenbergParams) -> BlockEncoding:
-    """PR, SELECT and PL over 6+3n qubits; block = H/N."""
+    """PR and SELECT over 6+3n qubits; block = H/N."""
     n = p.n
     xb, zb = 6, 6 + n
     layout = {"subpr": (0, 6), "x_anc": (xb, n), "z_anc": (zb, n), "system": (6 + 2 * n, n)}
-    return _assemble(layout, lambda conj: _heisenberg_pr_gates(p, xb, zb, conj),
-                     p.normalization())
+    return _assemble(layout, _heisenberg_pr_gates(p, xb, zb), p.normalization())
 
 
 # --- spin glass model ---
@@ -225,7 +216,7 @@ def _sg_wire(n: int, axis: int, k: int) -> int:
     return 3 * (n - k) - off
 
 
-def _sg_tables(p: SpinGlassParams, conjugate: bool):
+def _sg_tables(p: SpinGlassParams):
     n = p.n
     cm = CoefficientMatrix.from_params(p)
     norm = p.normalization()
@@ -242,9 +233,6 @@ def _sg_tables(p: SpinGlassParams, conjugate: bool):
                 factor = math.sqrt(nk / norm)
             sub[_sg_wire(n, a, k)] = factor
             bodies[(a, k)] = cm.normalized_diagonal(a, k)
-    if conjugate:
-        sub = np.conj(sub)
-        bodies = {key: np.conj(v) for key, v in bodies.items()}
     return sub, bodies
 
 
@@ -276,10 +264,9 @@ def _sg_register_staircase(gates: list[Gate], base: int, n: int,
             gates.append(cnot(wire, base + m))
 
 
-def _spin_glass_pr_gates(p: SpinGlassParams, x_base: int, z_base: int,
-                         conjugate: bool) -> list[Gate]:
+def _spin_glass_pr_gates(p: SpinGlassParams, x_base: int, z_base: int) -> list[Gate]:
     n = p.n
-    sub, bodies = _sg_tables(p, conjugate)
+    sub, bodies = _sg_tables(p)
     gates = dicke._body_gates(3 * n, list(range(3 * n)), AmplitudeList(sub))
 
     angles = {key: unbalanced_angles(AmplitudeList(v)) for key, v in bodies.items()}
@@ -324,10 +311,10 @@ def _spin_glass_pr_gates(p: SpinGlassParams, x_base: int, z_base: int,
     return gates
 
 
-def _spin_glass_pr_gates_uncompressed(p: SpinGlassParams, x_base: int, z_base: int,
-                                      conjugate: bool) -> list[Gate]:
+def _spin_glass_pr_gates_uncompressed(p: SpinGlassParams, x_base: int,
+                                      z_base: int) -> list[Gate]:
     n = p.n
-    sub, bodies = _sg_tables(p, conjugate)
+    sub, bodies = _sg_tables(p)
     gates = dicke._body_gates(3 * n, list(range(3 * n)), AmplitudeList(sub))
     width = max(x_base, z_base) + n
     x_map = {q: x_base + q for q in range(n)}
@@ -353,15 +340,14 @@ def spin_glass_pr(p: SpinGlassParams, compressed: bool = True) -> Circuit:
     n = p.n
     layout = {"subpr": (0, 3 * n), "x_anc": (3 * n, n), "z_anc": (4 * n, n)}
     build = _spin_glass_pr_gates if compressed else _spin_glass_pr_gates_uncompressed
-    return Circuit(5 * n, tuple(build(p, 3 * n, 4 * n, False)), layout)
+    return Circuit(5 * n, tuple(build(p, 3 * n, 4 * n)), layout)
 
 
 def spin_glass_encoding(p: SpinGlassParams) -> BlockEncoding:
     n = p.n
     xb, zb = 3 * n, 4 * n
     layout = {"subpr": (0, 3 * n), "x_anc": (xb, n), "z_anc": (zb, n), "system": (5 * n, n)}
-    return _assemble(layout, lambda conj: _spin_glass_pr_gates(p, xb, zb, conj),
-                     p.normalization())
+    return _assemble(layout, _spin_glass_pr_gates(p, xb, zb), p.normalization())
 
 
 # --- general two-body subroutines ---

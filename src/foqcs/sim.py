@@ -22,11 +22,11 @@ Two drivers feed that kernel:
 
 assert_state and the SELECT part of extract_block run sparse. The paper's
 Dicke states and check-matrix SELECT keep a tiny support (a d1 state on n
-qubits has n nonzeros), so verify dicke costs about gates x support. PR and
-PL act on the ancillae alone, so each runs dense once on 2**sys_start
-amplitudes; SELECT runs on the support of PR|0_anc> x |b> for many system
-columns b per pass, each b held in index bits above the circuit. PL-dagger is
-never built: <0_anc| PL-dagger is the bra of PL|0_anc>.
+qubits has n nonzeros), so verify dicke costs about gates x support. PR acts
+on the ancillae alone, so it runs dense once on 2**sys_start amplitudes;
+SELECT runs on the support of PR|0_anc> x |b> for many system columns b per
+pass, each b held in index bits above the circuit. PL is conj(PR), so neither
+PL nor PL-dagger is built or run: <0_anc| PL-dagger = (conj v)-dagger = v^T.
 """
 from __future__ import annotations
 
@@ -246,13 +246,14 @@ class BlockReport:
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register.
 
-    PR and PL act on the ancillae alone, so v = PR|0_anc> and w = PL|0_anc>
-    each run forward once, dense, on the 2**sys_start ancilla amplitudes.
+    PR acts on the ancillae alone, so v = PR|0_anc> runs forward once, dense,
+    on the 2**sys_start ancilla amplitudes. PL = conj(PR) prepares conj(v),
+    so the bra <0_anc| PL-dagger is v^T: v itself serves as both ket and bra.
     SELECT then runs sparse on many columns per pass: column b starts as
     v x |b>, with b copied into n extra bits above the top qubit that no gate
     reads, so the columns never mix. A pass starts from at most 2**sys_start
     entries (all columns when v is sparse, one when v is dense), never from
-    nnz(v) * 2**n ~ 2**width. Each output entry adds conj(w_anc) times its
+    nnz(v) * 2**n ~ 2**width. Each output entry adds v_anc times its
     amplitude to block[row, b]. The per-input post-selection probability is
     the squared norm of column b.
     """
@@ -262,7 +263,6 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
         raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
                                  f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
     v = _run_gates(be.prep, StateVector.zero(sys_start).amps, sys_start)
-    w_bra = _run_gates(be.unprep, StateVector.zero(sys_start).amps, sys_start).conj()
     v_idx = np.flatnonzero(v)
     dim, step = 1 << n, max(1, (1 << sys_start) // v_idx.size)
     block = np.zeros((dim, dim), dtype=complex)
@@ -272,7 +272,7 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
         start = (v_idx | b << sys_start | b << be.width).ravel()
         idx, amps = _run_sparse(be.select.gates, start, np.tile(v[v_idx], b.size))
         np.add.at(block, ((idx >> sys_start) & (dim - 1), idx >> be.width),
-                  w_bra[idx & ((1 << sys_start) - 1)] * amps)
+                  v[idx & ((1 << sys_start) - 1)] * amps)
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
     return BlockReport(block=block, max_abs_error=err, postselect_probability=probs)

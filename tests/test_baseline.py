@@ -46,7 +46,7 @@ def test_state_prep_sparse():
 def test_single_term_lcu():
     h = PauliSum(2, [PauliTerm(0.8, "XZ")])
     be = standard_lcu(h)
-    assert be.postselect == () and be.prep == be.unprep == ()
+    assert be.postselect == () and be.prep == ()
     rep = extract_block(be, hamiltonian_matrix(h) / 0.8)
     assert rep.max_abs_error < 1e-12
     # complex coefficient needs its phase

@@ -1,5 +1,7 @@
-"""The three-part BlockEncoding: PR, SELECT and PL kept apart, never PL-dagger."""
+"""The BlockEncoding: PR and SELECT kept apart, PL = conj(PR) never built, and
+PL-dagger = PR-transpose built only for export."""
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from foqcs import baseline, cli, encoder, report, sim
 from foqcs import circuit as circuit_mod
 from foqcs.baseline import standard_lcu
 from foqcs.circuit import (
+    DIAGONAL_KINDS,
     GATE_KINDS,
+    KINDS,
     BlockEncoding,
     Circuit,
     Gate,
@@ -20,6 +24,7 @@ from foqcs.circuit import (
     h,
     lower,
     ry,
+    transpose_gates,
 )
 from foqcs.encoder import (
     generic_foqcs,
@@ -36,10 +41,11 @@ from foqcs.models import (
     random_spin_glass,
 )
 from foqcs.pauli import PauliSum, PauliTerm
-from foqcs.sim import extract_block
+from foqcs.sim import circuit_unitary, extract_block
 from tests.test_encoder import random_pauli_sum
+from tests.test_sim import _per_column_block
 
-ANGLES = (0.0, 1.234, -2.9, np.pi)
+ANGLES = (0.0, 1.234, -2.9, np.pi, -np.pi)
 
 
 def _encodings(rng):
@@ -70,6 +76,38 @@ def test_adjoint_has_the_lowered_cost_of_the_gate(kind):
     for angle in ANGLES if angled else (None,):
         g = Gate(kind, tuple(range(arity))[::-1], angle)
         assert count(Circuit(3, tuple(dagger_gates([g])))) == count(Circuit(3, (g,)))
+        assert count(Circuit(3, tuple(transpose_gates([g])))) == count(Circuit(3, (g,)))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_transpose_rule_holds_for_every_kind(kind):
+    # Every kind is diagonal or real; one that is neither fails here, before
+    # export writes a wrong PL-dagger.
+    row = KINDS[kind]
+    for angle in ANGLES if row.angled else (None,):
+        u = row.unitary(angle)
+        if kind in DIAGONAL_KINDS:
+            assert np.array_equal(u, np.diag(np.diag(u))), (kind, angle)
+        else:
+            assert not np.any(u.imag), (kind, angle)
+        g = Gate(kind, tuple(range(row.arity)), angle)
+        if row.adjoint is None:  # cgamma: prep must not hold it
+            with pytest.raises(DomainError, match=kind):
+                transpose_gates([g])
+            continue
+        t = Circuit(row.arity, tuple(transpose_gates([g])))
+        np.testing.assert_allclose(circuit_unitary(t), circuit_unitary(Circuit(row.arity, (g,))).T,
+                                   atol=1e-14, rtol=0)
+
+
+def test_transpose_of_a_sequence_reverses_it():
+    rng = np.random.default_rng(605)
+    gates = [Gate(kind, tuple(int(q) for q in rng.permutation(3)[:arity]),
+                  float(rng.uniform(-np.pi, np.pi)) if angled else None)
+             for kind, (arity, angled) in GATE_KINDS.items() if kind != "cgamma"]
+    u = circuit_unitary(Circuit(3, tuple(gates)))
+    np.testing.assert_allclose(circuit_unitary(Circuit(3, tuple(transpose_gates(gates)))), u.T,
+                               atol=1e-13, rtol=0)
 
 
 def test_encoding_prep_is_the_pr_oracle():
@@ -83,25 +121,31 @@ def test_encoding_prep_is_the_pr_oracle():
 
 
 def test_flat_circuit_is_prep_select_then_unprep_adjoint():
+    # PL-dagger = PR-transpose.
     be = heisenberg_encoding(random_heisenberg(3, np.random.default_rng(603)))
     c = be.circuit
     assert c.width == be.width and c.layout == be.layout
-    assert c.gates == be.prep + be.select.gates + tuple(dagger_gates(be.unprep))
+    assert c.gates == be.prep + be.select.gates + tuple(transpose_gates(be.prep))
 
 
-@pytest.mark.parametrize("name", ["heisenberg2", "heisenberg3", "spin_glass2", "standard_lcu"])
+@pytest.mark.parametrize("name", ["heisenberg2", "heisenberg3", "spin_glass2", "spin_glass3",
+                                  "standard_lcu", "generic1", "generic2", "generic3"])
 def test_three_part_block_equals_lowered_flat_block(name):
     rng = np.random.default_rng(604)
     build = {
         "heisenberg2": lambda: heisenberg_encoding(random_heisenberg(2, rng)),
         "heisenberg3": lambda: heisenberg_encoding(random_heisenberg(3, rng)),
         "spin_glass2": lambda: spin_glass_encoding(random_spin_glass(2, rng)),
+        "spin_glass3": lambda: spin_glass_encoding(random_spin_glass(3, rng)),
         "standard_lcu": lambda: standard_lcu(heisenberg_hamiltonian(random_heisenberg(2, rng))),
+        "generic1": lambda: generic_foqcs(random_pauli_sum(rng, 1, hermitian=True)),
+        "generic2": lambda: generic_foqcs(random_pauli_sum(rng, 2, hermitian=True)),
+        "generic3": lambda: generic_foqcs(random_pauli_sum(rng, 3, hermitian=True)),
     }
     be = build[name]()
-    flat = BlockEncoding(lower(be.circuit), be.normalization)
-    assert flat.prep == flat.unprep == ()
-    ref = extract_block(flat).block
+    # Dense per column: the lowered circuit's rounding residues spread a sparse
+    # run over half the 2^18 basis at spin glass n = 3.
+    ref = _per_column_block(lower(be.circuit))
     rep = extract_block(be, ref)
     assert rep.max_abs_error < 1e-13
 
@@ -113,18 +157,20 @@ def _select(gates=()):
     return Circuit(5, tuple(gates), LAYOUT)
 
 
-@pytest.mark.parametrize("part", ["prep", "unprep"])
+# prep is the one ancilla part: PL is conj(PR).
+@pytest.mark.parametrize("part", ["prep"])
 @pytest.mark.parametrize("gate", [cnot(0, 3), ry(0.3, 4), gamma(0.2, 2, 3), ry(0.3, -1)])
 def test_ancilla_part_off_the_ancillae_is_rejected(part, gate):
     with pytest.raises(DomainError, match=f"{part} gate .* ancillae below the system"):
         BlockEncoding(_select(), 1.0, **{part: [h(0), gate]})
 
 
-def test_cgamma_is_rejected_in_unprep_only():
+def test_cgamma_is_rejected_in_prep():
+    # PR's transpose must be exportable, and cgamma has no exact adjoint.
     g = cgamma(0.4, 0, 1, 2)
-    BlockEncoding(_select(), 1.0, prep=[g])
+    BlockEncoding(_select([g]), 1.0)
     with pytest.raises(DomainError, match="cgamma"):
-        BlockEncoding(_select(), 1.0, unprep=[h(0), g])
+        BlockEncoding(_select(), 1.0, prep=[h(0), g])
 
 
 def test_parts_must_agree_on_the_width():
@@ -135,9 +181,11 @@ def test_parts_must_agree_on_the_width():
 
 
 def test_no_module_binds_its_own_adjoint():
-    # So patching foqcs.circuit.dagger_gates below reaches every caller.
+    # So patching foqcs.circuit's dagger_gates and transpose_gates below
+    # reaches every caller.
     for mod in (baseline, cli, encoder, report, sim):
         assert not hasattr(mod, "dagger_gates"), mod.__name__
+        assert not hasattr(mod, "transpose_gates"), mod.__name__
 
 
 def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, capsys):
@@ -145,6 +193,7 @@ def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, c
         raise AssertionError("PL-dagger or the flat circuit was built")
 
     monkeypatch.setattr(circuit_mod, "dagger_gates", boom)
+    monkeypatch.setattr(circuit_mod, "transpose_gates", boom)
     monkeypatch.setattr(BlockEncoding, "circuit", property(boom))
     spec = tmp_path / "h.json"
     spec.write_text(json.dumps({"n": 2, "terms": [{"coeff": [0.5, 0], "ops": "XZ"},
@@ -160,3 +209,37 @@ def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, c
     # encode does export the flat circuit, so the patch is live.
     with pytest.raises(AssertionError):
         cli.main(["encode", "heisenberg", "--n", "2", "-o", str(tmp_path / "enc")])
+
+
+def test_each_encoding_builds_and_runs_its_pr_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(mod, name):
+        build = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod, name in ((encoder, "_heisenberg_pr_gates"), (encoder, "_spin_glass_pr_gates"),
+                      (encoder, "state_prep_gates"), (baseline, "state_prep_gates"),
+                      (sim, "_run_gates")):
+        counted(mod, name)
+    rng = np.random.default_rng(606)
+    h3 = heisenberg_hamiltonian(random_heisenberg(3, rng))
+    for build, name in ((lambda: heisenberg_encoding(random_heisenberg(3, rng)),
+                         "_heisenberg_pr_gates"),
+                        (lambda: spin_glass_encoding(random_spin_glass(3, rng)),
+                         "_spin_glass_pr_gates"),
+                        (lambda: generic_foqcs(random_pauli_sum(rng, 2, hermitian=True)),
+                         "state_prep_gates"),
+                        (lambda: standard_lcu(h3), "state_prep_gates")):
+        calls.clear()
+        count(build())
+        assert calls == {name: 1}, name
+    for model, name in (("heisenberg", "_heisenberg_pr_gates"),
+                        ("spin-glass", "_spin_glass_pr_gates")):
+        calls.clear()
+        assert cli.main(["verify", model, "--n", "3", "--seed", "1"]) == 0
+        assert calls == {name: 1, "_run_gates": 1}, model

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from foqcs.circuit import (
     KINDS,
     LOWERED_KINDS,
+    BlockEncoding,
     Circuit,
     Gate,
     cgamma,
@@ -120,7 +121,7 @@ def _random_circuit(rng, width, depth, kinds):
     gates = []
     for _ in range(depth):
         kind = rng.choice(kinds)
-        qs = rng.choice(width, size=3, replace=False)
+        qs = rng.choice(width, size=3, replace=False).tolist()
         th = float(rng.uniform(-math.pi, math.pi))
         g = {
             "x": lambda: x(qs[0]),
@@ -298,6 +299,20 @@ def test_circuit_range_error_names_the_first_bad_gate(bad, text, before):
         Circuit(3, ok + (bad, x(7)) + ok)
     assert str(e.value) == text
     Circuit(3, ok + (toffoli(2, 1, 0),) + ok)
+
+
+@pytest.mark.parametrize("q", [1.5, "0", None, True, np.int64(0)], ids=repr)
+@pytest.mark.parametrize("before", [1, 1023])
+def test_in_memory_circuit_rejects_a_non_integer_qubit(q, before):
+    # Once x(1.5) was built and counted, and export_qasm and simulate then
+    # raised a bare TypeError; x("0") raised one from min(). A numpy integer
+    # cannot be written to JSON. The rule is that of from_dict.
+    ok = (h(0),) * (before - 1) + (cnot(0, 1),)
+    with pytest.raises(DomainError) as e:
+        Circuit(2, ok + (x(q), x(7)) + ok)
+    assert str(e.value) == f"gate x{(q,)}: qubits must be integers"
+    with pytest.raises(DomainError, match="qubits must be integers"):
+        BlockEncoding(Circuit(3, (), {"system": (2, 1)}), 1.0, prep=[x(q)])
 
 
 ONE_GATES = [Gate(kind, (3, 1, 2)[:row.arity], angle) for kind, row in KINDS.items()

@@ -4,9 +4,14 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from foqcs.circuit import BlockEncoding, Circuit
 from foqcs.cli import build_parser, main
+from foqcs.models import random_spin_glass, spin_glass_hamiltonian
+from foqcs.pauli import hamiltonian_matrix, one_norm
+from foqcs.sim import extract_block
 
 
 def test_encode_heisenberg(tmp_path, capsys):
@@ -147,6 +152,36 @@ GOLDEN_COUNTS = [
 def test_counts_csv_is_byte_identical_to_the_golden_digest(capsys, args, digest):
     assert main(["counts", *args.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `encode heisenberg --n 8 --seed s` circuit.qasm, s = 1..3, with
+# every angle rounded to 12 significant digits first, so that an ulp of libm
+# cannot flip a digest; a changed gate, order, operand or angle fails here.
+GOLDEN_HEISENBERG_QASM = {
+    1: "f2531b0369a58954819b70e208e6f9d3f52e56d5397e59296376f3d3fd86bba8",
+    2: "4954044eeb9f8ead1ad3265c77b22342c8370bce122b7b23f82cb9ac2f4defb9",
+    3: "721aea2f54598ad558498aff27bead34f772752ab6578ffb19ac394b68a5c6ed",
+}
+QASM_ANGLE = re.compile(r"\(([^)]*)\)")
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_HEISENBERG_QASM))
+def test_heisenberg_qasm_matches_the_golden_digest(tmp_path, seed):
+    argv = ["encode", "heisenberg", "--n", "8", "--seed", str(seed), "-o", str(tmp_path)]
+    assert main(argv) == 0
+    qasm = (tmp_path / "circuit.qasm").read_text()
+    rounded = QASM_ANGLE.sub(lambda m: f"({float(m.group(1)):.12g})", qasm)
+    assert hashlib.sha256(rounded.encode()).hexdigest() == GOLDEN_HEISENBERG_QASM[seed]
+
+
+def test_encoded_spin_glass_circuit_blocks_h_over_n(tmp_path):
+    # The exported circuit is PR, SELECT and PL-dagger = PR-transpose, lowered;
+    # read back as a select-only encoding, its block is H/N.
+    assert main(["encode", "spin-glass", "--n", "2", "--seed", "1", "-o", str(tmp_path)]) == 0
+    circ = Circuit.from_json((tmp_path / "circuit.json").read_text())
+    h = spin_glass_hamiltonian(random_spin_glass(2, np.random.default_rng(1)))
+    rep = extract_block(BlockEncoding(circ, one_norm(h)), hamiltonian_matrix(h) / one_norm(h))
+    assert rep.max_abs_error <= 1e-12
 
 
 def test_verify_dicke_spec_file(tmp_path, capsys):

@@ -186,7 +186,8 @@ def test_block_spectral_norm():
 
 
 def test_pr_pl_pairing_recovers_coefficients():
-    # sum_t conj(pl[t,i,j]) pr[t,i,j] = alpha'_ij / N, term by term.
+    # PL = conj(PR), so sum_t conj(pl[t,i,j]) pr[t,i,j] = sum_t pr[t,i,j]^2
+    # = alpha'_ij / N, term by term, whatever square-root branch PR takes.
     from foqcs.encoder import _heisenberg_pr_gates
     from foqcs.circuit import Circuit
     from foqcs.pauli import check_decompose
@@ -194,9 +195,8 @@ def test_pr_pl_pairing_recovers_coefficients():
     rng = np.random.default_rng(17)
     p = random_heisenberg(3, rng)
     n = p.n
-    pr = simulate(Circuit(6 + 2 * n, tuple(_heisenberg_pr_gates(p, 6, 6 + n, False)))).amps
-    pl = simulate(Circuit(6 + 2 * n, tuple(_heisenberg_pr_gates(p, 6, 6 + n, True)))).amps
-    prod = (pl.conj() * pr).reshape(1 << (2 * n), 64).sum(axis=1)
+    pr = simulate(Circuit(6 + 2 * n, tuple(_heisenberg_pr_gates(p, 6, 6 + n)))).amps
+    prod = (pr * pr).reshape(1 << (2 * n), 64).sum(axis=1)
     h = heisenberg_hamiltonian(p)
     norm = one_norm(h)
     for ct in check_decompose(h):

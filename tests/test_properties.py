@@ -1,5 +1,5 @@
 """Property tests on random circuits of width <= 4 over every gate kind, and on
-block encodings: random three-part ones and spin models with zero couplings."""
+block encodings: random PR and SELECT ones and spin models with zero couplings."""
 import math
 
 import numpy as np
@@ -19,7 +19,7 @@ from foqcs.circuit import (
     lower,
     parse_qasm,
 )
-from foqcs.encoder import heisenberg_encoding, spin_glass_encoding
+from foqcs.encoder import heisenberg_encoding, heisenberg_pr, spin_glass_encoding, spin_glass_pr
 from foqcs.models import (
     HEISENBERG_FIELDS,
     HeisenbergParams,
@@ -209,12 +209,11 @@ def test_assert_state_matches_dense_reference_at_the_edges():
 
 @st.composite
 def three_part_encodings(draw):
-    """PR and PL on a = 1..3 ancillae and SELECT on a + n, n = 1..2, over every
-    gate kind (PL over every kind with an exact adjoint)."""
+    """SELECT on a + n qubits, n = 1..2, over every gate kind, and PR on
+    a = 1..3 ancillae over every kind with an exact transpose; PL = conj(PR)."""
     a, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     select = Circuit(a + n, _gates(draw, a + n, GATE_KINDS, EDGE_ANGLES), {"system": (a, n)})
-    return BlockEncoding(select, 1.0, prep=_gates(draw, a, GATE_KINDS, EDGE_ANGLES),
-                         unprep=_gates(draw, a, EXACT_KINDS, EDGE_ANGLES))
+    return BlockEncoding(select, 1.0, prep=_gates(draw, a, EXACT_KINDS, EDGE_ANGLES))
 
 
 @PROPERTY_SETTINGS
@@ -257,6 +256,15 @@ def sparse_spin_glasses(draw):
     return SpinGlassParams(n, c.diagonal(axis1=1, axis2=2).copy(), np.triu(c, 1))
 
 
+@st.composite
+def sparse_heisenbergs(draw):
+    """Random couplings with up to five of the six set to zero."""
+    n, seed = draw(st.integers(2, 5)), draw(SEEDS)
+    zeros = draw(st.sets(st.sampled_from(HEISENBERG_FIELDS), max_size=5))
+    p = random_heisenberg(n, np.random.default_rng(seed))
+    return HeisenbergParams(n, *(0.0 if f in zeros else getattr(p, f) for f in HEISENBERG_FIELDS))
+
+
 @ZERO_COUPLING_SETTINGS
 @given(sparse_spin_glasses())
 def test_spin_glass_block_with_zero_couplings(p):
@@ -264,8 +272,24 @@ def test_spin_glass_block_with_zero_couplings(p):
 
 
 @ZERO_COUPLING_SETTINGS
-@given(st.integers(2, 5), SEEDS, st.sets(st.sampled_from(HEISENBERG_FIELDS), max_size=5))
-def test_heisenberg_block_with_zero_couplings(n, seed, zeros):
-    p = random_heisenberg(n, np.random.default_rng(seed))
-    p = HeisenbergParams(n, *(0.0 if f in zeros else getattr(p, f) for f in HEISENBERG_FIELDS))
+@given(sparse_heisenbergs())
+def test_heisenberg_block_with_zero_couplings(p):
     _assert_block_is_h_over_norm(heisenberg_encoding(p), heisenberg_hamiltonian(p))
+
+
+def _assert_same_state_from_zero(a: Circuit, b: Circuit):
+    idx, amps = _run_sparse(a.gates, np.zeros(1, np.int64), np.ones(1, complex))
+    check = assert_state(b, dict(zip(idx.tolist(), amps)), tol=1e-12)
+    assert check.ok, check.mismatches
+
+
+@ZERO_COUPLING_SETTINGS
+@given(sparse_spin_glasses())
+def test_compressed_spin_glass_pr_matches_literal(p):
+    _assert_same_state_from_zero(spin_glass_pr(p), spin_glass_pr(p, compressed=False))
+
+
+@ZERO_COUPLING_SETTINGS
+@given(sparse_heisenbergs())
+def test_compact_heisenberg_pr_matches_literal(p):
+    _assert_same_state_from_zero(heisenberg_pr(p), heisenberg_pr(p, compact=False))

@@ -117,23 +117,22 @@ def _every_kind(rng, qubits):
 
 
 def test_extract_block_every_kind_in_prep_and_unprep():
-    # Ancillae 0..2, system 3..4. Every gate kind sits in prep and in select,
-    # and every kind with an adjoint (all but cgamma) in unprep; the reference
-    # runs the flat circuit, PL-dagger included, on each column.
+    # Ancillae 0..2, system 3..4. Every gate kind sits in select, and every
+    # kind with an exact transpose (all but cgamma) in prep, so in PL too; the
+    # reference runs the flat circuit, PL-dagger = PR-transpose included, on
+    # each column.
     from foqcs.circuit import BlockEncoding
 
     rng = np.random.default_rng(61)
     layout = {"anc": (0, 3), "system": (3, 2)}
     for _ in range(4):
         prep = [h(0), h(1), ry(float(rng.uniform(-np.pi, np.pi)), 2)]
-        prep += _every_kind(rng, [0, 1, 2])
+        prep += [g for g in _every_kind(rng, [0, 1, 2]) if g.kind != "cgamma"]
         select = [cnot(0, 3), cz(1, 4), toffoli(0, 2, 4), h(1),
                   gamma(float(rng.uniform(-np.pi, np.pi)), 2, 3),
                   cgamma(float(rng.uniform(-np.pi, np.pi)), 1, 4, 0)]
         select += _every_kind(rng, [0, 1, 2, 3, 4])
-        unprep = [h(2), ry(float(rng.uniform(-np.pi, np.pi)), 0)]
-        unprep += [g for g in _every_kind(rng, [0, 1, 2]) if g.kind != "cgamma"]
-        be = BlockEncoding(Circuit(5, tuple(select), layout), 1.0, prep=prep, unprep=unprep)
+        be = BlockEncoding(Circuit(5, tuple(select), layout), 1.0, prep=prep)
         ref = _per_column_block(be.circuit)
         rep = extract_block(be, ref)
         assert rep.max_abs_error < 1e-13
@@ -243,7 +242,7 @@ def test_extract_block_splits_the_columns_of_a_dense_pr_state():
     prep = (h(0), h(1), toffoli(0, 1, 2), Gate("cry", (2, 3), 0.9))
     select = Circuit(6, (cnot(0, 4), h(5), cz(3, 5), Gate("crz", (2, 4), 0.7), cnot(5, 1)),
                      {"system": (4, 2)})
-    be = BlockEncoding(select, 1.0, prep=prep, unprep=(ry(0.4, 1), h(3), cnot(3, 0)))
+    be = BlockEncoding(select, 1.0, prep=prep)
     ref = _per_column_block(be.circuit)
     rep = extract_block(be)
     np.testing.assert_allclose(rep.block, ref, atol=1e-12, rtol=0)
@@ -258,7 +257,7 @@ def test_extract_block_bounds_the_support_of_a_dense_pr_state():
     a, n = 10, 6
     anc = tuple(h(q) for q in range(a))
     select = Circuit(a + n, tuple(cnot(q, a + q % n) for q in range(a)), {"system": (a, n)})
-    be = BlockEncoding(select, 1.0, prep=anc, unprep=anc)
+    be = BlockEncoding(select, 1.0, prep=anc)
     extract_block(be)  # the first call's lazy imports are not the pass's memory
     tracemalloc.start()
     try:
@@ -332,7 +331,7 @@ def test_extract_block_fails_a_retargeted_select_gate():
     pos, g = next((i, g) for i, g in enumerate(be.select.gates) if g.kind == "cnot")
     target = sys_start + (g.qubits[1] - sys_start + 1) % n
     bad = BlockEncoding(_replace(be.select, pos, cnot(g.qubits[0], target)),
-                        be.normalization, be.prep, be.unprep)
+                        be.normalization, be.prep)
     assert extract_block(bad, ref).max_abs_error > 1e-10
 
 
