@@ -11,6 +11,13 @@ QASM parser's name map are derived from it. A new kind is one row plus its
 constructor, which builds the Gate tuple directly and checks what its
 signature leaves open (distinct operands, a finite angle).
 
+The exporters lower, export_qasm and Circuit.to_json compute each distinct
+gate's output once and reuse it for every repeat (_per_gate). A gate equals
+and hashes as its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but
+these print differently; the memo key therefore holds the angle's type and
+the sign of a zero angle as well, and the output is byte for byte that of
+formatting every gate.
+
 Qubit indices are little-endian (qubit q = bit q of a basis index). A
 unitary's local bit i is the gate's operand qubits[i], controls first.
 """
@@ -322,6 +329,35 @@ def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
     return None
 
 
+def _per_gate(fn: Callable[[Gate], object], gates) -> list:
+    """[fn(g) for g in gates], calling fn once per distinct gate.
+
+    Equal gates can print differently (0.0 == -0.0 and 1 == 1.0), so the key
+    adds the angle's type and its sign, which tells 0.0 from -0.0.
+    """
+    memo: dict = {}
+    out = []
+    for g in gates:
+        a = g.angle
+        key = g if a is None else (g, type(a), math.copysign(1.0, a))
+        r = memo.get(key, memo)
+        if r is memo:
+            r = memo[key] = fn(g)
+        out.append(r)
+    return out
+
+
+def _gate_json(g: Gate) -> str:
+    """g as json.dumps writes {"kind", "qubits", "angle"?}. Kind names need no
+    escaping, a Circuit's qubits are ints, and json writes a float, a float
+    subclass such as np.float64 too, with float.__repr__."""
+    head = f'{{"kind": "{g.kind}", "qubits": [{", ".join(map(str, g.qubits))}]'
+    a = g.angle
+    if a is None:
+        return head + "}"
+    return f'{head}, "angle": {float.__repr__(a) if isinstance(a, float) else json.dumps(a)}}}'
+
+
 def _index(v, what: str) -> int:
     """v, which must be an int (not a bool), as read from a circuit's JSON form."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -361,24 +397,18 @@ class Circuit:
         start, size = self.layout[name]
         return range(start, start + size)
 
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "layout": {k: list(v) for k, v in self.layout.items()},
-            "gates": [
-                {"kind": g.kind, "qubits": list(g.qubits)}
-                | ({"angle": g.angle} if g.angle is not None else {})
-                for g in self.gates
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        """{"width", "layout": {name: [start, size]}, "gates": [{"kind",
+        "qubits", "angle"?}]}, with json.dumps' separators; each distinct
+        gate is formatted once."""
+        gates = ", ".join(_per_gate(_gate_json, self.gates))
+        return (f'{{"width": {json.dumps(self.width)}, "layout": {json.dumps(self.layout)}, '
+                f'"gates": [{gates}]}}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
-        """The circuit of to_dict's form; the width, each layout entry and each
-        qubit must be an int (bool rejected)."""
+        """The circuit of to_json's form, decoded; the width, each layout entry
+        and each qubit must be an int (bool rejected)."""
         gates = tuple(
             Gate(g["kind"], tuple(_index(q, "qubit") for q in g["qubits"]), g.get("angle"))
             for g in d["gates"]
@@ -555,10 +585,8 @@ def _lower_gate(g: Gate) -> list[Gate]:
 
 def lower(c: Circuit) -> Circuit:
     """Rewrite onto the one/two-qubit target set {x,h,s,sdg,ry,rz,phase,cnot,cz}."""
-    out: list[Gate] = []
-    for g in c.gates:
-        out.extend(_lower_gate(g))
-    return Circuit(c.width, tuple(out), c.layout)
+    return Circuit(c.width, tuple(chain.from_iterable(_per_gate(_lower_gate, c.gates))),
+                   c.layout)
 
 
 def _lowered_cost(kind: str) -> tuple[int, int]:
@@ -664,15 +692,15 @@ def export_qasm(c: Circuit) -> str:
     ref = [f"{name}[{i}]" for name, _, size in regs for i in range(size)]
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     lines += [f"qreg {name}[{size}];" for name, _, size in regs]
-    for g in c.gates:
+
+    def line(g: Gate) -> str:
         name = KINDS[g.kind].qasm
         if name is None:
             raise DomainError(f"cannot export unlowered gate {g.kind}; call lower() first")
         argl = ",".join([ref[q] for q in g.qubits])
-        if g.angle is not None:
-            lines.append(f"{name}({g.angle:.17g}) {argl};")
-        else:
-            lines.append(f"{name} {argl};")
+        return f"{name} {argl};" if g.angle is None else f"{name}({g.angle:.17g}) {argl};"
+
+    lines += _per_gate(line, c.gates)
     return "\n".join(lines) + "\n"
 
 

@@ -50,14 +50,25 @@ def _from_json(what: str, build, data):
         raise ValueError(f"malformed {what}: {e}") from e
 
 
+def _check_n(args, n: int | None) -> None:
+    """verify's width cap on n: every model's width is at least n."""
+    if args.command == "verify" and n is not None and n > VERIFY_MAX_WIDTH:
+        raise ResourceGuardError(f"n = {n} puts the width over verify cap {VERIFY_MAX_WIDTH}")
+
+
 def _spec(args, what: str, build):
-    """build(JSON read from --spec), or None without --spec."""
+    """build(JSON read from --spec), or None without --spec. Every request
+    starts here, so verify refuses an n over its cap, from --n or from the
+    spec, before any model is drawn or circuit built."""
     if args.spec is None:
+        _check_n(args, getattr(args, "n", None))
         return None
     given = [f"--{f}" for f in SPEC_EXCLUDES if getattr(args, f, None) is not None]
     if given:
         raise DomainError(f"--spec excludes {', '.join(given)}")
-    return _from_json(what, build, json.loads(Path(args.spec).read_text()))
+    data = json.loads(Path(args.spec).read_text())
+    _check_n(args, _from_json(what, lambda d: int(d["n"]), data))
+    return _from_json(what, build, data)
 
 
 def _heisenberg(args) -> tuple:
@@ -260,7 +271,8 @@ def main(argv=None) -> int:
     except DomainError as e:
         _log(f"invalid parameters: {e}")
         return 2
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as e:
+    # An OverflowError is a number too large for the machine, such as an --n of 10**20.
+    except (json.JSONDecodeError, KeyError, ValueError, OSError, OverflowError) as e:
         _log(f"input error: {e}")
         return 1
     return code

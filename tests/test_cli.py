@@ -1,16 +1,25 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foqcs.cli
 from foqcs.circuit import BlockEncoding, Circuit
 from foqcs.cli import build_parser, main
-from foqcs.models import random_spin_glass, spin_glass_hamiltonian
-from foqcs.pauli import hamiltonian_matrix, one_norm
+from foqcs.models import (
+    HeisenbergParams,
+    SpinGlassParams,
+    random_spin_glass,
+    spin_glass_hamiltonian,
+)
+from foqcs.pauli import PauliSum, hamiltonian_matrix, one_norm
 from foqcs.sim import extract_block
 
 
@@ -172,6 +181,57 @@ def test_heisenberg_qasm_matches_the_golden_digest(tmp_path, seed):
     qasm = (tmp_path / "circuit.qasm").read_text()
     rounded = QASM_ANGLE.sub(lambda m: f"({float(m.group(1)):.12g})", qasm)
     assert hashlib.sha256(rounded.encode()).hexdigest() == GOLDEN_HEISENBERG_QASM[seed]
+
+
+# sha256 of (circuit.qasm, circuit.json, meta.json) from the encode_export
+# benchmark's models at seeds 1-3, as written before each distinct gate was
+# exported once. The files hold every angle to 17 digits, so a changed gate,
+# order, operand, angle type or zero sign fails here.
+GOLDEN_EXPORTS = [
+    ("heisenberg --n 64 --seed 1",
+     ("ea4e182d3a713fdf0415e5f52fb110c82f0e9f172b45311073e5591f22cdb1d6",
+      "28168b55da465f43fe2a1faaace4d2552936f2759edaf4ab78e4dcd4643b49df",
+      "0e02bcee5be5c5ed91903226993e793f0c718a3f6500e74d8f2980ffdcdde1c0")),
+    ("heisenberg --n 64 --seed 2",
+     ("c5db27fd03b84a693ad83aba40df0c133206b3b2416d72df481f2a450d083119",
+      "9b54b11e1472f87a0aa340c01b517e506a31511b58fec477a85c2c0fbd3ac7bb",
+      "4fbf5727866037b46d729516f70a32e00f75cb74401961684e83d902091027a9")),
+    ("heisenberg --n 64 --seed 3",
+     ("f28bdf1a60a61aa77cf20fef03f9d12fc86ab5027159adfd482dea6201482692",
+      "463397368a4ec7d4be1d62160751fbda730dc93e812f08a636b99df7266b5309",
+      "b2405b2e39449f2614af6ba33530bc5c9977269fb5a2d5310282c455efbde761")),
+    ("spin-glass --n 24 --seed 1",
+     ("ba56e43ad290c223df83ca96b3e69d417b60989c2c0e1a22d597908b3ed90667",
+      "fdcc58a98539eb863d17f2cffc44162e4c8e7e166e43b573d4c32eb0c0e6ce63",
+      "8ffb596be558310614c10b2b7f797e4f3707381d5ba5fb9163bc0423b868ef83")),
+    ("spin-glass --n 24 --seed 2",
+     ("d5ced77f2be59a06b5ce3c71d0484cd294b77301ed66e485bf45d80120b9fbfe",
+      "7c6e06419cc6d3549ec09bd5dda324af6b5099fb7a8c38676b53c9765d8c3e91",
+      "4fef0722943641ca63078ba55ad42fdce7b249fc283979ed383b2001cfafe24a")),
+    ("spin-glass --n 24 --seed 3",
+     ("dfe6334cf7c385f8ba35cd2efd70db4f0700ec445655e5cc8d55b8e47d81d00a",
+      "61730e5da81cb1fed689790115774c01f59ead8659ddc2bead2caec1a41ec207",
+      "eb7ccca207a27d074f156378429aeca9441ff26a9a00b9c028cb296191c8356b")),
+]
+
+
+@pytest.mark.parametrize("args, digests", GOLDEN_EXPORTS, ids=[a for a, _ in GOLDEN_EXPORTS])
+def test_encode_files_are_byte_identical_to_the_golden_digests(tmp_path, args, digests):
+    assert main(["encode", *args.split(), "-o", str(tmp_path)]) == 0
+    files = ("circuit.qasm", "circuit.json", "meta.json")
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in files) == digests
+
+
+def test_encode_keeps_the_sign_of_a_zero_angle(tmp_path):
+    # gy = jy = jz = 0 give rz angles of 0.0 and -0.0 in the same register;
+    # equal gates, but each keeps its own text.
+    argv = ["encode", "heisenberg", "--n", "3", "--gx", "0.5", "--jx", "1", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    qasm = (tmp_path / "circuit.qasm").read_text()
+    assert "rz(0) subpr[4];" in qasm and "rz(-0) subpr[4];" in qasm
+    text = (tmp_path / "circuit.json").read_text()
+    assert '"angle": 0.0}' in text and '"angle": -0.0}' in text
 
 
 def test_encoded_spin_glass_circuit_blocks_h_over_n(tmp_path):
@@ -532,3 +592,57 @@ def test_counts_dicke_n_without_a_k_is_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no k" in captured.err
+
+
+# Every model's width is at least n, so verify refuses an n over its cap
+# before a model is drawn: at 1e5 the spin-glass J alone would take 224 GiB,
+# and at 1e20 the Heisenberg build would not end. counts and encode have no
+# cap, and an n too large for the machine is an input error.
+HUGE_N = str(10**20)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "spin-glass", "--n", "100000"], 3),
+    (["verify", "heisenberg", "--n", HUGE_N], 3),
+    (["verify", "dicke", "--kind", "d1", "--n", HUGE_N], 3),
+    (["counts", "heisenberg", "--n", f"2:{HUGE_N}"], 1),
+    (["counts", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
+    (["encode", "dicke", "--kind", "d1", "--n", HUGE_N, "-o", "out"], 1),
+], ids=["verify-spin-glass", "verify-heisenberg", "verify-dicke", "counts-heisenberg",
+        "counts-dicke", "encode-dicke"])
+def test_huge_n_exits_with_its_code_before_building(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, spec", [
+    ("spin-glass", {"n": 100000, "g": [], "J": []}),
+    ("heisenberg", {"n": 10**20, "gx": 1.0}),
+    ("generic", {"n": 22, "terms": [{"coeff": [1.0, 0.0], "ops": "X" * 22}]}),
+    ("dicke", {"kind": "d1", "n": 22}),
+], ids=["spin-glass", "heisenberg", "generic", "dicke"])
+def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
+        tmp_path, monkeypatch, capsys, model, spec):
+    def refuse(d):
+        raise AssertionError("the model was read")
+
+    for cls in (SpinGlassParams, HeisenbergParams, PauliSum):
+        monkeypatch.setattr(cls, "from_dict", refuse)
+    monkeypatch.setattr(foqcs.cli, "_dicke_fields", refuse)
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main(["verify", model, "--spec", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over verify cap" in captured.err
+
+
+def test_python_m_foqcs_runs_the_cli(capsys):
+    argv = ["counts", "dicke", "--kind", "d1", "--n", "3"]
+    code = main(argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(foqcs.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "foqcs", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Property tests on random circuits of width <= 4 over every gate kind, and on
 block encodings: random PR and SELECT ones and spin models with zero couplings."""
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,90 @@ def test_qasm_round_trip_of_lowered_is_gate_identical(c):
     back = parse_qasm(export_qasm(low))
     assert back.width == low.width
     assert back.gates == low.gates
+
+
+# Angles of every type a Gate stores unchanged, mostly from a few values that
+# are equal across types and zero signs but print differently: 0, 0.0, -0.0,
+# False; 1, 1.0, True; each also as np.float64.
+SAME_VALUES = (0, 0.0, -0.0, False, 1, 1.0, True, 2.5)
+TYPED_ANGLES = st.one_of(st.sampled_from(SAME_VALUES + tuple(map(np.float64, SAME_VALUES))),
+                         EDGE_ANGLES)
+
+
+@st.composite
+def repeating_circuits(draw):
+    """Up to 24 gates on at most 6 (kind, qubits) slots, each with an angle
+    from TYPED_ANGLES, over a layout of two registers, so that most gates
+    repeat an earlier one or equal it in another type or zero sign."""
+    width = draw(st.integers(2, 4))
+    slots = _gates(draw, width, tuple(GATE_KINDS), ANGLES)[:6] or (Gate("h", (0,)),)
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind, qubits, angle = draw(st.sampled_from(slots))
+        gates.append(Gate(kind, qubits, None if angle is None else draw(TYPED_ANGLES)))
+    anc = draw(st.integers(1, width - 1))
+    return Circuit(width, tuple(gates), {"anc": (0, anc), "system": (anc, width - anc)})
+
+
+def _lower_by_gate(c: Circuit) -> Circuit:
+    """The reference lower: every gate lowered on its own."""
+    return Circuit(c.width, tuple(low for g in c.gates for low in circuit._lower_gate(g)),
+                   c.layout)
+
+
+def _qasm_gate_lines(c: Circuit) -> list[str]:
+    """The reference QASM gate lines: every gate formatted on its own."""
+    ref = [f"{name}[{i}]" for name, (_, size) in sorted(c.layout.items(), key=lambda r: r[1])
+           for i in range(size)]
+    return [f"{circuit.KINDS[g.kind].qasm}" + ("" if g.angle is None else f"({g.angle:.17g})")
+            + f" {','.join(ref[q] for q in g.qubits)};" for g in c.gates]
+
+
+def _json_by_gate(c: Circuit) -> str:
+    """The reference JSON: json.dumps of one dict per gate."""
+    return json.dumps({
+        "width": c.width,
+        "layout": {k: list(v) for k, v in c.layout.items()},
+        "gates": [{"kind": g.kind, "qubits": list(g.qubits)}
+                  | ({"angle": g.angle} if g.angle is not None else {}) for g in c.gates],
+    })
+
+
+@PROPERTY_SETTINGS
+@given(repeating_circuits())
+def test_exports_of_repeated_gates_equal_the_per_gate_reference(c):
+    low = lower(c)
+    # repr tells the angle's type and zero sign apart, which == does not
+    assert list(map(repr, low.gates)) == list(map(repr, _lower_by_gate(c).gates))
+    assert export_qasm(low).splitlines()[2 + len(c.layout):] == _qasm_gate_lines(low)
+    assert c.to_json() == _json_by_gate(c)
+    assert low.to_json() == _json_by_gate(low)
+
+
+def test_each_exporter_formats_each_distinct_gate_once(monkeypatch):
+    built = [circuit.h(0), circuit.h(0), circuit.cnot(0, 1), circuit.cnot(0, 1),
+             circuit.rz(0.0, 1), circuit.rz(-0.0, 1), Gate("rz", (1,), 0), circuit.rz(0.0, 1),
+             circuit.cry(0.5, 0, 2), circuit.cry(0.5, 0, 2)]
+    c = Circuit(3, tuple(built))
+    per_gate = circuit._per_gate
+    calls = []
+
+    def counting(fn, gates):
+        def counted(g):
+            calls[-1] += 1
+            return fn(g)
+
+        calls.append(0)
+        return per_gate(counted, gates)
+
+    monkeypatch.setattr(circuit, "_per_gate", counting)
+    low = lower(c)
+    export_qasm(low)
+    low.to_json()
+    # built: h, cnot, rz 0.0, rz -0.0, rz int 0 and cry are distinct; lowered:
+    # those five and cry's ry(0.25), ry(-0.25) and cnot(0, 2)
+    assert len(low.gates) == 16
+    assert calls == [6, 8, 8]
 
 
 @PROPERTY_SETTINGS
