@@ -31,6 +31,7 @@ from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
 from .sim import assert_state, extract_block
 
 VERIFY_MAX_WIDTH = 21
+SWEEP_MAX_LEN = 10_000  # values of n in one counts range
 # --spec holds the whole model, so it excludes these flags. They default to None
 # (the seed's 0 is filled in where a model is drawn), so an explicit one shows.
 SPEC_EXCLUDES = ("n", "seed", *HEISENBERG_FIELDS, "kind", "k", "alphas")
@@ -188,12 +189,17 @@ def cmd_verify_block(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
+    """lo:hi or a comma list. A range is measured before it is listed, so a
+    huge one is refused without being allocated."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        ns = list(range(int(lo), int(hi) + 1))
+        ns = range(int(lo), int(hi) + 1)
         if not ns:
             raise DomainError(f"empty range {text!r}")
-        return ns
+        if len(ns) > SWEEP_MAX_LEN:
+            raise ValueError(f"range {text!r} has {len(ns)} values of n, over the "
+                             f"sweep limit {SWEEP_MAX_LEN}")
+        return list(ns)
     return [int(v) for v in text.split(",")]
 
 
@@ -221,48 +227,69 @@ MODELS = {
     "dicke": (_dicke, ("kind", "n", "k", "alphas"), STATE),
 }
 FLAG_TYPES = {"n": int, "seed": int, "k": int, **dict.fromkeys(HEISENBERG_FIELDS, float)}
+# counts model: the sweep it runs (None: the Dicke kind given by --kind)
+COUNTS = {"heisenberg": "heisenberg", "spin-glass": "spin_glass", "dicke": None}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_request_flags(p: argparse.ArgumentParser, command: str, model: str) -> None:
+    request, flags, funcs = MODELS[model]
+    p.add_argument("--spec", required=not flags)  # generic reads nothing else
+    for f in flags:
+        p.add_argument(f"--{f}", type=FLAG_TYPES.get(f))
+    if command == "encode":
+        p.add_argument("-o", "--out", required=True)
+    else:
+        p.add_argument("--tol", type=float)
+    p.set_defaults(func=funcs[command], request=request)
+
+
+def _add_counts_flags(p: argparse.ArgumentParser, command: str, model: str) -> None:
+    p.add_argument("--n", required=True, help="range lo:hi or comma list")
+    if COUNTS[model] is None:  # the Dicke kind is the sweep's model
+        p.add_argument("--kind", dest="sweep", metavar="KIND", default="d1")
+        p.add_argument("--k", type=int)
+        p.set_defaults(seed=0, baseline=False)
+    else:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--baseline", action="store_true", help="add standard-LCU CNOT counts")
+        p.set_defaults(sweep=COUNTS[model], k=None)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("-o", "--out")
+    p.set_defaults(func=cmd_counts)
+
+
+# command: (its help, the models it takes, the function adding a model's flags)
+COMMANDS = {"encode": ("write lowered QASM + layout metadata", MODELS, _add_request_flags),
+            "verify": ("simulate and check against the exact matrix", MODELS, _add_request_flags),
+            "counts": ("predicted vs actual gate-count sweeps", COUNTS, _add_counts_flags)}
+
+
+def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser tree. With `only` = (command, model), the top-level parser
+    still registers every command, so its usage is unchanged, but only that
+    command gets a model parser, and only that one."""
     ap = argparse.ArgumentParser(prog="foqcs",
                                  description="Block-encoding synthesis, verification, and counting")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, help_ in (("encode", "write lowered QASM + layout metadata"),
-                           ("verify", "simulate and check against the exact matrix")):
-        models = sub.add_parser(command, help=help_).add_subparsers(dest="model", required=True)
-        for model, (request, flags, funcs) in MODELS.items():
-            p = models.add_parser(model)
-            p.add_argument("--spec", required=not flags)  # generic reads nothing else
-            for f in flags:
-                p.add_argument(f"--{f}", type=FLAG_TYPES.get(f))
-            if command == "encode":
-                p.add_argument("-o", "--out", required=True)
-            else:
-                p.add_argument("--tol", type=float)
-            p.set_defaults(func=funcs[command], request=request)
-
-    cnt = sub.add_parser("counts", help="predicted vs actual gate-count sweeps")
-    models = cnt.add_subparsers(dest="model", required=True)
-    for model, sweep in (("heisenberg", "heisenberg"), ("spin-glass", "spin_glass"),
-                         ("dicke", None)):
-        p = models.add_parser(model)
-        p.add_argument("--n", required=True, help="range lo:hi or comma list")
-        if sweep is None:  # the Dicke kind is the sweep's model
-            p.add_argument("--kind", dest="sweep", metavar="KIND", default="d1")
-            p.add_argument("--k", type=int)
-            p.set_defaults(seed=0, baseline=False)
-        else:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--baseline", action="store_true", help="add standard-LCU CNOT counts")
-            p.set_defaults(sweep=sweep, k=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("-o", "--out")
-        p.set_defaults(func=cmd_counts)
+    for command, (help_, leaves, add_flags) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_)
+        if only is not None and only[0] != command:
+            continue
+        models = cmd.add_subparsers(dest="model", required=True)
+        for model in leaves if only is None else [only[1]]:
+            add_flags(models.add_parser(model), command, model)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. When argv starts with a known (command, model) pair,
+    only that pair's parser is built; any other argv, such as -h or a
+    missing or unknown model, gets the full tree and so the same help and
+    errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, model = (argv + ["", ""])[:2]
+    known = command in COMMANDS and model in COMMANDS[command][1]
+    args = build_parser((command, model) if known else None).parse_args(argv)
     try:
         code = args.func(args)
     except ResourceGuardError as e:

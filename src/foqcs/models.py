@@ -159,19 +159,20 @@ def random_heisenberg(n: int, rng: np.random.Generator) -> HeisenbergParams:
 
 
 def random_spin_glass(n: int, rng: np.random.Generator) -> SpinGlassParams:
+    """g, then each axis's upper-triangle J row by row, from one stream."""
     g = _draw(rng, 3 * n).reshape(3, n)
     J = np.zeros((3, n, n))
-    for a in range(3):
-        for l in range(n):
-            J[a, l, l + 1 :] = _draw(rng, n - 1 - l)
+    rows, cols = np.triu_indices(n, 1)
+    J[:, rows, cols] = _draw(rng, 3 * rows.size).reshape(3, rows.size)
     return SpinGlassParams(n, g, J)
 
 
 def _draw(rng: np.random.Generator, count: int) -> np.ndarray:
-    out = np.empty(count)
-    for i in range(count):
-        v = 0.0
-        while abs(v) < 1e-3:
-            v = rng.uniform(-1.0, 1.0)
-        out[i] = v
+    """The first `count` uniform [-1, 1) draws with |v| >= 1e-3. Each round
+    draws only the shortfall, so the stream is read exactly as one draw at a
+    time would read it."""
+    out = np.empty(0)
+    while out.size < count:
+        v = rng.uniform(-1.0, 1.0, count - out.size)
+        out = np.concatenate([out, v[np.abs(v) >= 1e-3]])
     return out

@@ -62,10 +62,7 @@ class PauliTerm:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of this term (coefficient included)."""
-        m = np.array([[1.0 + 0j]])
-        for site in reversed(range(self.n)):
-            m = np.kron(m, PAULI_MATRICES[self.ops[site]])
-        return self.coefficient * m
+        return _zx_matrix(self.n, *_check_scaled(self))
 
 
 @dataclass(frozen=True)
@@ -141,18 +138,24 @@ class CheckTerm:
     alpha_prime: complex
 
 
+def _check_scaled(t: PauliTerm) -> tuple[int, int, complex]:
+    """(i, j, alpha') with t = alpha' * prod_l Z^{j_l} X^{i_l}, where
+    alpha' = (-i)^(sum_l i_l j_l) * alpha."""
+    i = j = 0
+    y_count = 0
+    for site, p in enumerate(t.ops):
+        xb, zb = CHECK_PAIRS[p]
+        i |= xb << site
+        j |= zb << site
+        y_count += xb & zb
+    return i, j, t.coefficient * (-1j) ** y_count
+
+
 def check_decompose(h: PauliSum) -> list[CheckTerm]:
     """Check-matrix decomposition: alpha' = (-i)^(sum_l i_l j_l) * alpha."""
     out = []
     for t in h.terms:
-        i = j = 0
-        y_count = 0
-        for site, p in enumerate(t.ops):
-            xb, zb = CHECK_PAIRS[p]
-            i |= xb << site
-            j |= zb << site
-            y_count += xb & zb
-        alpha = t.coefficient * (-1j) ** y_count
+        i, j, alpha = _check_scaled(t)
         if abs(alpha) >= COEFF_CUTOFF:
             out.append(CheckTerm(i, j, alpha))
     return out
@@ -163,15 +166,38 @@ def one_norm(h: PauliSum) -> float:
     return float(sum(abs(t.coefficient) for t in h.terms))
 
 
+def _zx_columns(n: int, i: int, j: int, scale: complex) -> tuple[np.ndarray, np.ndarray]:
+    """scale * prod_l Z^{j_l} X^{i_l} on n sites, one nonzero per column:
+    column b holds scale * (-1)^popcount((b ^ i) & j) in row b ^ i.
+    Returns (rows, values), indexed by column."""
+    rows = np.arange(1 << n) ^ i
+    parity = np.zeros_like(rows)
+    for site in range(n):
+        if (j >> site) & 1:
+            parity ^= rows >> site
+    return rows, scale * (1 - 2 * (parity & 1))
+
+
+def _zx_matrix(n: int, i: int, j: int, scale: complex) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of scale * prod_l Z^{j_l} X^{i_l}."""
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    rows, values = _zx_columns(n, i, j, scale)
+    m[rows, np.arange(1 << n)] = values
+    return m
+
+
 def hamiltonian_matrix(h: PauliSum) -> np.ndarray:
-    """Exact dense 2^n x 2^n matrix of h via Kronecker products."""
+    """Exact dense 2^n x 2^n matrix of h. Each term has one nonzero per
+    column (see _zx_columns), added in place, in term order."""
     if h.n > MATRIX_MAX_QUBITS:
         raise ResourceGuardError(
             f"dense matrix limited to {MATRIX_MAX_QUBITS} qubits, got {h.n}"
         )
     m = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    cols = np.arange(2**h.n)
     for t in h.terms:
-        m += t.matrix()
+        rows, values = _zx_columns(h.n, *_check_scaled(t))
+        m[rows, cols] += values
     return m
 
 
@@ -197,12 +223,4 @@ def success_probability(h: PauliSum, phi: np.ndarray) -> float:
 
 def check_term_matrix(ct: CheckTerm, n: int) -> np.ndarray:
     """Dense matrix alpha' * prod_l Z^{j_l} X^{i_l}, for verification."""
-    m = np.array([[1.0 + 0j]])
-    for site in reversed(range(n)):
-        zx = np.eye(2, dtype=complex)
-        if (ct.i >> site) & 1:
-            zx = zx @ PAULI_MATRICES["X"]
-        if (ct.j >> site) & 1:
-            zx = PAULI_MATRICES["Z"] @ zx
-        m = np.kron(m, zx)
-    return ct.alpha_prime * m
+    return _zx_matrix(n, ct.i, ct.j, ct.alpha_prime)

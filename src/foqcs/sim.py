@@ -1,11 +1,12 @@
 """Exact statevector simulation and block extraction.
 
 Amplitudes are complex128 indexed little-endian (qubit q = bit q). Every gate
-kind, composite ones (gamma, cgamma, toffoli, ...) included, is applied in
-place through its exact unitary by one kernel, _apply_unitary, so circuits need
-not be lowered before simulation. The unitaries are the `unitary` column of
-circuit.KINDS, which gate_unitary reads; this module keeps no per-kind rule of
-its own. The kernel reads the sparsity of the unitary:
+kind, composite ones (gamma, cgamma, toffoli, ...) included, is applied through
+its exact unitary, so circuits need not be lowered before simulation. One
+kernel, _apply_unitary, applies it in place; only the sparse driver moves a
+gate with one nonzero per column itself (below). The unitaries are the
+`unitary` column of circuit.KINDS, which gate_unitary reads; this module keeps
+no per-kind rule of its own. The kernel reads the sparsity of the unitary:
 it skips rows equal to the identity's, scales a diagonal-only row in place,
 multiplies by no coefficient equal to 1, and copies a slice only when a later
 row reads it after it has been overwritten. A CNOT is then one slice copy and
@@ -15,10 +16,13 @@ Two drivers feed that kernel:
   - dense: run, simulate and circuit_unitary hold arrays shaped (2**width,) or
     (2**width, batch);
   - sparse: _run_sparse holds a state as its support, sorted unique int64
-    basis indices and their amplitudes. Per gate it gathers the amplitudes
-    into a (2**k, groups) block, one column per setting of the bits the gate
-    does not touch, applies the kernel to that block, and scatters back. A
-    gate costs about the support size, not 2**width.
+    basis indices and their amplitudes. A gate whose unitary has one nonzero
+    per column (x, cnot, toffoli and the diagonal kinds) needs no kernel: each
+    index moves to its image and its amplitude is multiplied by the entry
+    unless that is 1, as the kernel would. Any gate that mixes amplitudes is
+    gathered into a (2**k, groups) block, one column per setting of the bits
+    the gate does not touch (found by one argsort), given to the kernel, and
+    scattered back. A gate costs about the support size, not 2**width.
 
 assert_state and the SELECT part of extract_block run sparse. The paper's
 Dicke states and check-matrix SELECT keep a tiny support (a d1 state on n
@@ -173,15 +177,33 @@ def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
     return amps
 
 
+def _phase_permutation(u: np.ndarray) -> tuple[list, list] | None:
+    """(rows, entries) when each column c of u has exactly one nonzero,
+    entries[c] in row rows[c], as in x, cnot, toffoli and the diagonal kinds;
+    else None."""
+    rows, entries = [], []
+    for col in zip(*u.tolist()):
+        nonzero = [(r, x) for r, x in enumerate(col) if x]
+        if len(nonzero) != 1:
+            return None
+        rows.append(nonzero[0][0])
+        entries.append(nonzero[0][1])
+    return rows, entries
+
+
 def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps).
 
-    idx holds sorted unique int64 basis indices. Per gate, the indices are
-    split into the operand bits (local index r, read by shifts) and the rest
-    (the group); the amplitudes fill a C-contiguous (2**k, groups) block that
-    _apply_unitary updates as k qubits batched over the groups. The block's
-    nonzeros are scattered back and re-sorted; only exact zeros are dropped,
-    so a NaN stays in the support. An operand at or above SPARSE_MAX_WIDTH
+    idx holds sorted unique int64 basis indices. Per gate, each index's
+    operand bits give its local index p (bit i of p is qubits[i]); spread[p]
+    puts p's bits back on the qubits. A gate whose unitary has one nonzero
+    per column moves each index to its column's row and multiplies its
+    amplitude by that entry unless the entry is 1, as _apply_unitary would.
+    Any other gate sorts the indices by their other bits (the group), fills
+    a C-contiguous (2**k, groups) block that _apply_unitary updates as k
+    qubits batched over the groups, and scatters the block's nonzeros back.
+    Either way the result is re-sorted and only exact zeros are dropped, so
+    a NaN stays in the support. An operand at or above SPARSE_MAX_WIDTH
     raises ResourceGuardError rather than shift into the sign bit.
     """
     for g in gates:
@@ -189,23 +211,41 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
         if max(qs) >= SPARSE_MAX_WIDTH:
             raise ResourceGuardError(
                 f"qubit {max(qs)} is over the sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
-        k = len(qs)
-        local = np.zeros_like(idx)
-        rest = idx.copy()
-        for i, q in enumerate(qs):
-            bit = (idx >> q) & 1
-            local |= bit << i
-            rest ^= bit << q
-        keys, group = np.unique(rest, return_inverse=True)
-        blk = np.zeros((1 << k, keys.size), dtype=complex)
-        blk[local, group] = amps
-        _apply_unitary(blk, gate_unitary(g), tuple(range(k)), k)
-        r, c = np.nonzero(blk)
-        spread = np.array([sum(((p >> i) & 1) << q for i, q in enumerate(qs))
-                           for p in range(1 << k)], dtype=np.int64)
-        idx = keys[c] | spread[r]
-        order = np.argsort(idx)
-        idx, amps = idx[order], blk[r[order], c[order]]
+        spread = [0]
+        for q in qs:
+            spread += [s | 1 << q for s in spread]
+        local = (idx >> qs[0]) & 1
+        for i, q in enumerate(qs[1:], 1):
+            local |= ((idx >> q) & 1) << i
+        u = gate_unitary(g)
+        moves = _phase_permutation(u)
+        if moves is not None:
+            rows, entries = moves
+            flip = np.array([spread[p] ^ spread[r] for p, r in enumerate(rows)])
+            idx = idx ^ flip[local]
+            order = np.argsort(idx)
+            idx, amps = idx[order], amps[order]
+            if any(x != 1 for x in entries):
+                local = local[order]
+                scaled = np.array([x != 1 for x in entries])[local]
+                amps[scaled] *= np.array(entries)[local[scaled]]
+            if not amps.all():
+                nonzero = amps != 0
+                idx, amps = idx[nonzero], amps[nonzero]
+        else:
+            rest = idx & ~spread[-1]
+            order = np.argsort(rest)
+            rest = rest[order]
+            first = np.empty(rest.size, dtype=bool)  # first index of its group
+            first[:1] = True
+            np.not_equal(rest[1:], rest[:-1], out=first[1:])
+            blk = np.zeros((len(spread), int(first.sum())), dtype=complex)
+            blk[local[order], np.cumsum(first) - 1] = amps[order]
+            _apply_unitary(blk, u, tuple(range(len(qs))), len(qs))
+            r, c = np.nonzero(blk)
+            idx = rest[first][c] | np.array(spread)[r]
+            order = np.argsort(idx)
+            idx, amps = idx[order], blk[r[order], c[order]]
     return idx, amps
 
 

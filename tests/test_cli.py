@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -5,12 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import foqcs.cli
+import foqcs.report
 from foqcs.circuit import BlockEncoding, Circuit
 from foqcs.cli import build_parser, main
 from foqcs.models import (
@@ -221,6 +224,168 @@ def test_encode_files_are_byte_identical_to_the_golden_digests(tmp_path, args, d
     files = ("circuit.qasm", "circuit.json", "meta.json")
     assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                  for f in files) == digests
+
+
+# sha256 of the stdout of the block_verify and state_verify benchmarks'
+# commands at benchmark seeds 1-3, as printed before the sparse driver moved
+# permutation gates without the kernel. The reports hold every error and
+# probability to 17 digits, so a driver or matrix change that moves a digit
+# fails here.
+GOLDEN_VERIFY = [
+    (("verify", "heisenberg", "--n", "4", "--seed", "1659014507"),
+     "25478c90dbd1e670a0cfe2cb6ad2200127b14bb16b6ea6a5cdfdabdbbdb545bb"),
+    (("verify", "spin-glass", "--n", "3", "--seed", "1280277009"),
+     "910d39b75337e1acc7e88b91cd39df109f56de5bc62044768a3bd127a9ae9296"),
+    (("verify", "heisenberg", "--n", "4", "--seed", "328941318"),
+     "02f1243262be2ae8b110778777dba9f8c90e336766b6ee7af34634857761c65a"),
+    (("verify", "spin-glass", "--n", "3", "--seed", "1391432774"),
+     "ed51a3aab7f69d25b0378ad64153ffd4309cf24612da799243e5eedc1d235454"),
+    (("verify", "heisenberg", "--n", "4", "--seed", "1407100044"),
+     "9914cdcd430580d4b3d2877572256f053cfd975ff18ae0cb68b35ed75150608c"),
+    (("verify", "spin-glass", "--n", "3", "--seed", "1221793484"),
+     "01fd23a1da8f7e86c1dfd5c1aa418b3d76e0035bd47b64ac804fff8781d4f69d"),
+    (("verify", "dicke", "--kind", "d1", "--n", "20"),
+     "4ad8035700f51026b9acbb9deb9a67c433be825fc5716ac106e7493092df8c26"),
+    (("verify", "dicke", "--kind", "d1u", "--n", "19", "--alphas",
+      "[[-0.34449697383310957, 0.5301791048820591], [0.8355501023708986, "
+      "-0.4176241936585259], [0.08812325520688373, 0.6989340707637322], "
+      "[-0.4904519527147445, 0.3312172148798334], [0.254258780259077, "
+      "0.142932528924809], [-0.7180129278009065, -0.3135227743209405], "
+      "[0.0016414261922058197, 0.8109537425177675], [-0.42976505996851394, "
+      "-0.3580291026679479], [0.3162004096723664, 0.08829184794229425], "
+      "[-0.9416199436888079, -0.17861728640414504], [0.2371673620533742, "
+      "0.46271438096077466], [-0.16340159515438754, 0.32220796558739073], "
+      "[-0.15502445974658915, 0.20720556394586082], [-0.020242574983599763,"
+      " 0.31750427317414154], [0.6775924343115732, -0.36488566323746097], "
+      "[0.3329373220720683, -0.31425371980579647], [0.09930812799750158, "
+      "0.5453506112191949], [-0.45960619563071314, -0.1756997644714192], "
+      "[-0.6412702105248889, -0.6900302559463949]]"),
+     "dcc2b2fb35699fd2c0b074715a9444359757454914d59ba42b872a78c3f15b48"),
+    (("verify", "dicke", "--kind", "d2k", "--n", "18", "--k", "3"),
+     "20ce53a0041e226583927b8521c267d0d29d6937210086cc1338c5c9de042200"),
+    (("verify", "dicke", "--kind", "d2ku", "--n", "17", "--k", "2", "--alphas",
+      "[[-0.3830931075814626, -0.1439437491916883], [-0.36372021286068684, "
+      "0.21694207627405399], [0.3600250040469018, -0.9004504726526451], "
+      "[-0.33488250782156653, 0.8624640214558087], [0.08419255042396348, "
+      "0.2625909418967991], [0.2630214313046507, -0.8551870979593093], "
+      "[-0.35659482595589626, 0.8912302849883121], [0.7238250363978876, "
+      "0.4021395443924626], [0.11694249606630551, 0.3617385742103245], "
+      "[0.18840217113966398, 0.6871274031021404], [-0.31473357603885893, "
+      "-0.6011597645960198], [-0.4491225656131314, 0.5972341899301771], "
+      "[-0.5378964944690413, -0.3474261215193269], [0.14330476094861314, "
+      "0.6784199159920657], [-0.44675749368861095, -0.3944101582210908]]"),
+     "5e81e721be47b2b1d8f9621b13610008037c6240de39c2171e98e673a792a28a"),
+    (("verify", "dicke", "--kind", "d1d", "--n", "10"),
+     "b27d74fc2f2ad14b7253d25f3a41bac376d1410a7d034d991f626f2dbb44893d"),
+    (("verify", "dicke", "--kind", "d1du", "--n", "9", "--alphas",
+      "[[-0.6377116688794245, 0.4133259582017922], [0.5562419843281644, "
+      "0.7178935561478305], [0.10722821830648264, 0.5536775372006034], "
+      "[-0.40900258139936235, 0.1999277111352781], [-0.1719455949062209, "
+      "-0.4917738440876123], [-0.09095590294019823, -0.47245914567437663], "
+      "[0.24114363188633872, -0.5924560205840959], [-0.18431415399230658, "
+      "-0.9133554665036132], [-0.015042200369563542, -0.4638062389988063]]"),
+     "10c15db74fcba82fbd5c1d210e90ef4c7891f3b4c295c0eba2affca08eda6314"),
+    (("verify", "dicke", "--kind", "d2kd", "--n", "8", "--k", "2"),
+     "20ce53a0041e226583927b8521c267d0d29d6937210086cc1338c5c9de042200"),
+    (("verify", "dicke", "--kind", "d2kdu", "--n", "10", "--k", "3", "--alphas",
+      "[[0.6916956571106708, 0.14447221858834128], [0.23385125913403215, "
+      "-0.3614204154129105], [-0.7125434896950166, 0.6826868086514722], "
+      "[-0.7276942729727671, -0.21388258025574908], [0.49289771050531755, "
+      "0.3258962448446094], [0.0839799556439319, 0.49454584580688093], "
+      "[0.46304720219169415, -0.6467046003930266]]"),
+     "ba9b1ea9d310ce24bf1a027d73485bffe7b528b11c01eb2252897ab59014a114"),
+    (("verify", "dicke", "--kind", "d1u", "--n", "19", "--alphas",
+      "[[0.5152332556465822, 0.7573346128813048], [-0.5683603088521764, "
+      "-0.6232306113134934], [0.818009250213149, 0.13338273902167], "
+      "[-0.4816225381241213, -0.3608257449168657], [0.543080295695559, "
+      "-0.7388769022923447], [0.6227993853085827, 0.24023124434215237], "
+      "[-0.04082433258037684, 0.5926018530642502], [-0.14448265403275795, "
+      "-0.3382459463318906], [-0.1527028559572141, 0.29323532559489346], "
+      "[0.5292720993513509, 0.652229673909962], [0.12090030762824927, "
+      "-0.23100872850180457], [0.29885789146286496, -0.06830999724309833], "
+      "[-0.050385582636065504, -0.8428890034149648], [0.27046233828345184, "
+      "0.6632890722647249], [-0.30080641121863805, 0.3407239984434862], "
+      "[-0.3208216284228353, 0.5483834415223612], [0.7529198167385869, "
+      "0.4541884254756924], [-0.5552217491624545, 0.6533534446085887], "
+      "[-0.19802804054781797, -0.5896049628191365]]"),
+     "92c3633f6e8633a4d45399914c1e96f95e7b4263a3421eed86ea4a8fdfcc162f"),
+    (("verify", "dicke", "--kind", "d2ku", "--n", "17", "--k", "2", "--alphas",
+      "[[0.14815712905002318, -0.9281737944331885], [-0.5768916979224447, "
+      "0.4359838924864422], [0.23752375644519963, 0.5190389596206506], "
+      "[0.6705327703189543, -0.0027020176413983976], [-0.4210853071216676, "
+      "-0.8159322920043364], [0.14247003336502193, 0.34469297359116896], "
+      "[0.7586844907609888, -0.2932772264803788], [0.6614259978818332, "
+      "-0.5120073720009208], [0.5958792813339996, -0.20049481582655734], "
+      "[0.17538809601855807, 0.22016249567386845], [0.47094223100688803, "
+      "-0.02061258042652822], [0.6600164534187097, -0.6043766863668588], "
+      "[-0.271741321799489, -0.20432108424168166], [0.5801471265885855, "
+      "-0.27755169959702897], [-0.724379319884602, 0.33413985965904014]]"),
+     "4de199dc5da8ce5bfde8647309d4e5e764ae0752785f801cebd1d6b4df6740d4"),
+    (("verify", "dicke", "--kind", "d1du", "--n", "9", "--alphas",
+      "[[0.0854466090897748, -0.7985709194107168], [-0.5101087106558704, "
+      "0.6329692444777816], [0.002188410223520579, -0.2602757190473915], "
+      "[-0.5307406701882762, 0.3887184441443003], [-0.3288261780093328, "
+      "-0.3359825853488524], [-0.24114581275106597, 0.07532755121428272], "
+      "[0.16462264699482, 0.4474266990729197], [0.25533610158977227, "
+      "0.12728813664739133], [0.5021993577990566, -0.05372665621311038]]"),
+     "28cf1d3c9586a4966d8a4661ad5d812df3e8b2221e9d3a946a08a627e7634d0b"),
+    (("verify", "dicke", "--kind", "d2kdu", "--n", "10", "--k", "3", "--alphas",
+      "[[0.39211831348997195, -0.15632136074569353], [-0.5861897624368262, "
+      "0.061015368348810564], [0.008371775547367809, 0.6565733415871786], "
+      "[0.3677319062203628, 0.2555517738452082], [0.16922497011707108, "
+      "-0.590336499964769], [-0.5959590487703889, 0.4883588797661289], "
+      "[-0.5426789614999116, -0.35196390324992705]]"),
+     "a20edd941cbe508582c8072e2e5a7b1a98df8ad60f78fb5b7e4eb9a27d09f6ad"),
+    (("verify", "dicke", "--kind", "d1u", "--n", "19", "--alphas",
+      "[[0.5719035659264617, -0.345070584918205], [-0.27908276799784576, "
+      "-0.3889771601282923], [0.7124878456145861, 0.19470338960959405], "
+      "[0.6637113968905386, 0.12347821385203889], [-0.705567608040601, "
+      "0.5759365751101118], [-0.28592075472308537, 0.33603381668244214], "
+      "[0.212534547162381, 0.4850566129114327], [-0.010590153277277116, "
+      "-0.27622949478060055], [-0.3631711996546295, -0.5504588119182929], "
+      "[-0.71073909220549, 0.3951956791251005], [0.7457885146954807, "
+      "0.15695421384743297], [0.507849473933328, 0.016312569188242476], "
+      "[0.18638699066108755, 0.47516159707160033], [-0.5862878568468417, "
+      "-0.20137447846538492], [0.19231279469149468, -0.8906931903459236], "
+      "[-0.2426805637879183, -0.756488801529591], [0.5818062071898328, "
+      "-0.641038505181591], [-0.17395159855662634, 0.7686342501193811], "
+      "[0.486895936029497, 0.2565908728474821]]"),
+     "299db3ec0413e19bc63564f25e6f9c9161b116c9f86fbb3daa06eebbf97747e6"),
+    (("verify", "dicke", "--kind", "d2ku", "--n", "17", "--k", "2", "--alphas",
+      "[[0.5744615811437211, -0.5809916851459548], [0.7892250985421332, "
+      "-0.006470347035990276], [-0.03883906678982723, -0.7432852883763066],"
+      " [-0.44184600733917756, -0.4974865608172461], [-0.6098794377384588, "
+      "0.21180529777436338], [-0.4103210385095254, -0.19402657538772972], "
+      "[-0.06407300444384097, -0.9441969502198544], [0.40842814089042906, "
+      "-0.3632245035025006], [-0.06350084195360751, -0.7969542373546162], "
+      "[0.8093367068810536, -0.48415329410984786], [0.6371966402984648, "
+      "0.1983701471985372], [0.12060889864871058, -0.29721763796668094], "
+      "[-0.39622572103178544, -0.12984662736781136], [-0.679252685416132, "
+      "0.26736096028718875], [-0.3800654577029337, -0.26868812768788203]]"),
+     "27d9df493ac770163ad7cadad272f9dd7b7c09a71ef815ac127e9f1a35e7ca3d"),
+    (("verify", "dicke", "--kind", "d1du", "--n", "9", "--alphas",
+      "[[0.012295322918626348, -0.2601408243452978], [-0.6687877442244857, "
+      "-0.45771895463492496], [-0.39737826578446783, -0.3778459092678499], "
+      "[0.20240724966510645, -0.32137774018434667], [-0.4372882577863825, "
+      "-0.808181587891602], [0.44545201229897396, 0.8038957430601186], "
+      "[0.1895765859868837, -0.2440009785064409], [-0.5868011638622752, "
+      "0.7490497584724], [0.3975754233040327, -0.30135910302173863]]"),
+     "888e65a4ca47f65c66957dd8d43842cddb8648efdda918ecb38caac6d806e118"),
+    (("verify", "dicke", "--kind", "d2kdu", "--n", "10", "--k", "3", "--alphas",
+      "[[-0.19881666285813113, 0.6470817607917494], [0.4273652182262935, "
+      "0.8874163477261475], [-0.5260311254238551, 0.20372874007252903], "
+      "[0.4165791917036272, -0.45664550036645885], [-0.6599632021322042, "
+      "-0.41367324236944525], [0.4397345835051412, 0.3733440837531096], "
+      "[-0.8814443026030603, 0.04421250971015746]]"),
+     "19ac681e8a22b0eed08a43cc7bdb94164f600070145c14b0a56aed8344916d1d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_VERIFY,
+                         ids=[f"{i}-{a[1]}-{a[3]}" for i, (a, _) in enumerate(GOLDEN_VERIFY)])
+def test_verify_report_is_byte_identical_to_the_golden_digest(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_encode_keeps_the_sign_of_a_zero_angle(tmp_path):
@@ -592,6 +757,69 @@ def test_counts_dicke_n_without_a_k_is_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no k" in captured.err
+
+
+@pytest.mark.parametrize("command, model", list(READS), ids=[f"{c}-{m}" for c, m in READS])
+def test_one_call_builds_one_parser_chain(tmp_path, monkeypatch, command, model):
+    # The top-level parser, its three commands and the one leaf: 5, not all 15.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main([command, model, *_argv(READS[command, model])])
+    assert len(built) <= 5, built
+
+
+COMMANDS = ("encode", "verify", "counts")
+LEAVES = list(READS)
+# Help and parse errors: main builds one leaf for a known (command, model)
+# pair and the full tree otherwise, and must print what the full tree prints.
+HELP_AND_ERRORS = [
+    [], ["-h"], ["bogus"], ["-h", "verify"],
+    *([c, "-h"] for c in COMMANDS), *([c] for c in COMMANDS),
+    *([c, "bogus"] for c in COMMANDS), *([c, "--n", "2"] for c in COMMANDS),
+    *([c, m, "-h"] for c, m in LEAVES), *([c, m, "--bogus", "1"] for c, m in LEAVES),
+    *(["counts", m] for m in COUNTS_FLAGS),
+    *([c, m, "--n", "x"] for c in COMMAND_FLAGS for m in ("heisenberg", "spin-glass", "dicke")),
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=[" ".join(a) or "none" for a in HELP_AND_ERRORS])
+def test_help_and_parse_errors_match_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(fn):
+        with pytest.raises(SystemExit) as exc:
+            fn(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert run(main) == run(build_parser().parse_args)
+
+
+def test_counts_range_over_the_sweep_limit_is_an_input_error(monkeypatch, capsys):
+    # 10**15 values of n would take 8 PB as a list; the length is read from the
+    # range, so nothing of that size is ever requested.
+    monkeypatch.setattr(foqcs.report, "sweep", lambda *a, **k: pytest.fail("swept"))
+    tracemalloc.start()
+    try:
+        code = main(["counts", "heisenberg", "--n", "2:1000000000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "input error" in captured.err and "sweep limit" in captured.err
+    assert peak < 2e6
+    limit = foqcs.cli.SWEEP_MAX_LEN
+    assert foqcs.cli._parse_range(f"2:{limit + 1}") == list(range(2, limit + 2))
+    with pytest.raises(ValueError, match="sweep limit"):
+        foqcs.cli._parse_range(f"2:{limit + 2}")
 
 
 # Every model's width is at least n, so verify refuses an n over its cap

@@ -5,7 +5,9 @@ from foqcs.errors import DomainError
 from foqcs.models import (
     HeisenbergParams,
     SpinGlassParams,
+    _draw,
     heisenberg_hamiltonian,
+    random_heisenberg,
     random_spin_glass,
     spin_glass_hamiltonian,
 )
@@ -75,3 +77,63 @@ def test_spin_glass_term_count():
     h = spin_glass_hamiltonian(p)
     # 3n one-body + 3*(n choose 2) two-body terms
     assert len(h) == 9 + 9
+
+
+def _draw_one_at_a_time(rng, count):
+    """Reference: one uniform draw per call, rejecting |v| < 1e-3."""
+    out = np.empty(count)
+    for i in range(count):
+        v = 0.0
+        while abs(v) < 1e-3:
+            v = rng.uniform(-1.0, 1.0)
+        out[i] = v
+    return out
+
+
+class _Stream:
+    """A stand-in generator whose uniform draws come from a fixed list."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.read = 0
+
+    def uniform(self, low, high, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.read:self.read + n]
+        assert len(out) == n, "stream exhausted"
+        self.read += n
+        return out[0] if size is None else np.array(out)
+
+
+def test_bulk_draw_reads_the_stream_as_one_draw_at_a_time():
+    # Rejected values (|v| < 1e-3, signed zeros, the threshold's neighbours)
+    # at the start, in runs, and right after the last accepted value.
+    stream = [0.0, 0.5, -1e-4, 1e-3, -0.0, 9.99e-4, -0.999, 0.2, -1e-3, 1e-9, 1e-9,
+              0.7, 3e-4, -0.3, 0.0005, 0.9, -0.6, 0.0, 0.1]
+    for count in range(11):  # the stream holds 10 accepted values
+        ref, bulk = _Stream(stream), _Stream(stream)
+        want = _draw_one_at_a_time(ref, count)
+        got = _draw(bulk, count)
+        assert got.tobytes() == want.tobytes()
+        assert bulk.read == ref.read
+
+
+def _spin_glass_one_draw_at_a_time(n, rng):
+    g = _draw_one_at_a_time(rng, 3 * n).reshape(3, n)
+    J = np.zeros((3, n, n))
+    for a in range(3):
+        for l in range(n):
+            J[a, l, l + 1:] = _draw_one_at_a_time(rng, n - 1 - l)
+    return g, J
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 24])
+def test_random_models_match_one_draw_at_a_time(n):
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = random_spin_glass(n, rng)
+        g, J = _spin_glass_one_draw_at_a_time(n, ref)
+        assert (p.g.tobytes(), p.J.tobytes()) == (g.tobytes(), J.tobytes())
+        h = random_heisenberg(n, rng)
+        assert [h.gx, h.gy, h.gz, h.jx, h.jy, h.jz] == _draw_one_at_a_time(ref, 6).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -92,6 +92,40 @@ def test_hamiltonian_matrix_heisenberg_vs_bruteforce():
     np.testing.assert_allclose(hamiltonian_matrix(h), ref, atol=1e-14)
 
 
+def _kron_term(t):
+    """Reference: the term as a Kronecker chain, site n-1 leftmost."""
+    m = np.array([[1.0 + 0j]])
+    for site in reversed(range(t.n)):
+        m = np.kron(m, PAULI_MATRICES[t.ops[site]])
+    return t.coefficient * m
+
+
+def test_matrices_equal_the_kronecker_chains():
+    # Spin models and random sums with complex, tiny and huge coefficients.
+    # The sum is byte-identical: the same values, added in the same order.
+    from foqcs.models import (heisenberg_hamiltonian, random_heisenberg,
+                              random_spin_glass, spin_glass_hamiltonian)
+
+    rng = np.random.default_rng(8)
+    sums = [heisenberg_hamiltonian(random_heisenberg(5, rng)),
+            spin_glass_hamiltonian(random_spin_glass(3, rng))]
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        scale = [1.0, 1e-14, 1e300][int(rng.integers(3))]
+        sums.append(PauliSum(n, [
+            PauliTerm(scale * complex(rng.normal(), rng.choice([0.0, rng.normal()])),
+                      "".join(rng.choice(list("IXYZ"), size=n)))
+            for _ in range(int(rng.integers(1, 9)))]))
+    for h in sums:
+        ref = np.zeros((1 << h.n, 1 << h.n), dtype=complex)
+        for t in h.terms:
+            ref += _kron_term(t)
+            assert np.array_equal(t.matrix(), _kron_term(t))
+        assert hamiltonian_matrix(h).tobytes() == ref.tobytes()
+        for ct, t in zip(check_decompose(h), h.terms):
+            assert np.array_equal(check_term_matrix(ct, h.n), _kron_term(t))
+
+
 def test_matrix_size_guard():
     h = PauliSum(13, [PauliTerm(1.0, "I" * 13)])
     with pytest.raises(ResourceGuardError):

@@ -22,6 +22,7 @@ from foqcs.pauli import PauliSum, PauliTerm
 from foqcs.sim import (
     SPARSE_MAX_WIDTH,
     StateVector,
+    _apply_unitary,
     _run_sparse,
     assert_state,
     extract_block,
@@ -211,6 +212,62 @@ def test_sparse_index_width_guard(monkeypatch):
         extract_block(BlockEncoding(wide, 1.0))
     with pytest.raises(ResourceGuardError):
         _run_sparse(wide.gates, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+
+def _run_sparse_by_blocks(gates, idx, amps):
+    """Reference: every gate through _apply_unitary on a (2**k, groups) block,
+    grouped with np.unique, as the sparse driver did before its
+    permutation-with-phases step."""
+    for g in gates:
+        qs = g.qubits
+        k = len(qs)
+        local = np.zeros_like(idx)
+        rest = idx.copy()
+        for i, q in enumerate(qs):
+            bit = (idx >> q) & 1
+            local |= bit << i
+            rest ^= bit << q
+        keys, group = np.unique(rest, return_inverse=True)
+        blk = np.zeros((1 << k, keys.size), dtype=complex)
+        blk[local, group] = amps
+        _apply_unitary(blk, gate_unitary(g), tuple(range(k)), k)
+        r, c = np.nonzero(blk)
+        spread = np.array([sum(((p >> i) & 1) << q for i, q in enumerate(qs))
+                           for p in range(1 << k)], dtype=np.int64)
+        idx = keys[c] | spread[r]
+        order = np.argsort(idx)
+        idx, amps = idx[order], blk[r[order], c[order]]
+    return idx, amps
+
+
+def test_sparse_driver_is_bit_identical_to_the_block_reference():
+    # Random sparse states of 1..60 entries, with exact zeros, signed zeros,
+    # subnormals, huge values, inf and NaN, through runs of every kind at
+    # angles that make rotations the identity or a permutation with phases.
+    rng = np.random.default_rng(71)
+    special = [0.0, -0.0, 5e-324, -1e-310, 1e300, np.inf, -np.inf, np.nan]
+    width = 6
+    for trial in range(150):
+        size = int(rng.integers(1, 61))
+        idx = np.sort(rng.choice(1 << width, size=size, replace=False)).astype(np.int64)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for j in rng.choice(size, size=min(size, 3), replace=False):
+            amps[j] = complex(rng.choice(special), rng.choice(special))
+        gates = []
+        for _ in range(8):
+            kind = rng.choice(list(GATE_KINDS))
+            arity, angled = GATE_KINDS[kind]
+            qs = tuple(int(q) for q in rng.permutation(width)[:arity])
+            angle = float(rng.choice([0.0, -0.0, np.pi, -np.pi, rng.uniform(-4, 4)]))
+            gates.append(Gate(str(kind), qs, angle if angled else None))
+        given = amps.tobytes()
+        with np.errstate(all="ignore"):
+            want = _run_sparse_by_blocks(gates, idx, amps)
+            got = _run_sparse(gates, idx, amps)
+        assert amps.tobytes() == given
+        assert got[0].dtype == np.int64
+        assert np.array_equal(got[0], want[0]), trial
+        assert got[1].tobytes() == want[1].tobytes(), trial
 
 
 def test_extract_block_column_bits_fit_in_int64(monkeypatch):
