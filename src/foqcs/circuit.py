@@ -6,10 +6,11 @@ arity, whether it takes an angle, its exact unitary, its adjoint, its lowering
 onto the target set {x, h, s, sdg, ry, rz, phase, cnot, cz} (None for those
 nine), its controlled counterpart and its OpenQASM name. Gate, control, lower,
 dagger, export_qasm, parse_qasm and the simulator's gate_unitary each read one
-column; GATE_KINDS, LOWERED_KINDS, the per-kind cost that count sums and the
-QASM parser's name map are derived from it. A new kind is one row plus its
-constructor, which builds the Gate tuple directly and checks what its
-signature leaves open (distinct operands, a finite angle).
+column; GATE_KINDS, LOWERED_KINDS, PERMUTATION_ROWS, DIAGONAL_KINDS, the
+per-kind cost that count sums and the QASM parser's name map are derived from
+it at import. A new kind is one row plus its constructor, which builds the
+Gate tuple directly and checks what its signature leaves open (distinct
+operands, a finite angle).
 
 The exporters lower, export_qasm and Circuit.to_json compute each distinct
 gate's output once and reuse it for every repeat (_per_gate). A gate equals
@@ -34,7 +35,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, json_int
 
 
 def _fixed(m) -> Callable:
@@ -139,14 +140,17 @@ LOWERED_KINDS = frozenset(kind for kind, row in KINDS.items() if row.lowering is
 _RAW_TWO_QUBIT = frozenset(kind for kind in LOWERED_KINDS if KINDS[kind].arity == 2)
 
 
-def _is_diagonal(row: GateKind) -> bool:
-    u = row.unitary(1.0 if row.angled else None)
-    return np.array_equal(u, np.diag(np.diag(u)))
-
-
-# Kinds whose unitary, read at one exemplar angle, is diagonal: each is its own
-# transpose, and every other kind is real.
-DIAGONAL_KINDS = frozenset(kind for kind, row in KINDS.items() if _is_diagonal(row))
+_EXEMPLARS = {kind: row.unitary(1.0 if row.angled else None) for kind, row in KINDS.items()}
+# kind -> the row of the one nonzero in each column of its unitary at one
+# exemplar angle, for the kinds whose unitary is a permutation with phases: as
+# many nonzeros as columns, since a unitary has no zero column. The sparse
+# simulator moves these kinds without its kernel.
+PERMUTATION_ROWS = {kind: np.argmax(u != 0, axis=0) for kind, u in _EXEMPLARS.items()
+                    if np.count_nonzero(u) == len(u)}
+# Kinds whose rows are the identity's: each is its own transpose, and every
+# other kind is real.
+DIAGONAL_KINDS = frozenset(kind for kind, rows in PERMUTATION_ROWS.items()
+                           if rows.tolist() == list(range(rows.size)))
 
 
 class _GateFields(NamedTuple):
@@ -311,7 +315,7 @@ _RANGE_CHUNK = 512  # gates per min/max pass of _first_out_of_range
 
 def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
     """The first gate with a qubit outside [0, width), or None; a non-int
-    qubit (a bool too, as in _index) raises DomainError.
+    qubit (a bool too, as in json_int) raises DomainError.
 
     One type set and min/max over the qubits of each chunk of gates; a chunk is
     searched gate by gate only on a failure. Chunks keep the flattened list
@@ -356,13 +360,6 @@ def _gate_json(g: Gate) -> str:
     if a is None:
         return head + "}"
     return f'{head}, "angle": {float.__repr__(a) if isinstance(a, float) else json.dumps(a)}}}'
-
-
-def _index(v, what: str) -> int:
-    """v, which must be an int (not a bool), as read from a circuit's JSON form."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DomainError(f"{what} must be an integer, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -410,16 +407,17 @@ class Circuit:
         """The circuit of to_json's form, decoded; the width, each layout entry
         and each qubit must be an int (bool rejected)."""
         gates = tuple(
-            Gate(g["kind"], tuple(_index(q, "qubit") for q in g["qubits"]), g.get("angle"))
+            Gate(g["kind"], tuple(json_int(q, "qubit", DomainError) for q in g["qubits"]),
+                 g.get("angle"))
             for g in d["gates"]
         )
         layout = {}
         for k, v in d.get("layout", {}).items():
             if len(v) != 2:
                 raise DomainError(f"register {k!r} must be [start, size], got {v!r}")
-            layout[k] = (_index(v[0], f"register {k!r} start"),
-                         _index(v[1], f"register {k!r} size"))
-        return cls(_index(d["width"], "width"), gates, layout)
+            layout[k] = (json_int(v[0], f"register {k!r} start", DomainError),
+                         json_int(v[1], f"register {k!r} size", DomainError))
+        return cls(json_int(d["width"], "width", DomainError), gates, layout)
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":

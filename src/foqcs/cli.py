@@ -17,7 +17,7 @@ from . import report as report_mod
 from .circuit import export_qasm, lower
 from .dicke import AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, json_int
 from .models import (
     HEISENBERG_FIELDS,
     HeisenbergParams,
@@ -68,7 +68,7 @@ def _spec(args, what: str, build):
     if given:
         raise DomainError(f"--spec excludes {', '.join(given)}")
     data = json.loads(Path(args.spec).read_text())
-    _check_n(args, _from_json(what, lambda d: int(d["n"]), data))
+    _check_n(args, _from_json(what, lambda d: json_int(d["n"], "n"), data))
     return _from_json(what, build, data)
 
 
@@ -103,11 +103,11 @@ def _generic(args) -> tuple:
 
 
 def _dicke_fields(d: dict) -> tuple:
-    kind, n, k = str(d["kind"]), int(d["n"]), d.get("k")
+    kind, n, k = str(d["kind"]), json_int(d["n"], "n"), d.get("k")
     unknown = sorted(set(d) - {"kind", "n", "k", "alphas"})
     if unknown:
         raise ValueError(f"unknown dicke spec keys {unknown}")
-    return kind, n, None if k is None else int(k), d.get("alphas")
+    return kind, n, None if k is None else json_int(k, "k"), d.get("alphas")
 
 
 def _dicke(args) -> tuple:
@@ -158,11 +158,19 @@ def cmd_encode_state(args) -> int:
     return _export(args.out, circ, {"width": circ.width, "layout": circ.layout})
 
 
+def _tolerance(args, default: float) -> float:
+    """--tol or default, refused if negative or not finite; called before the request."""
+    tol = default if args.tol is None else args.tol
+    if not 0 <= tol <= sys.float_info.max:
+        raise DomainError(f"--tol must be finite and at least 0, got {tol}")
+    return tol
+
+
 def cmd_verify_state(args) -> int:
+    tol = _tolerance(args, 1e-12)
     circ, expected = args.request(args)
     if circ.width > VERIFY_MAX_WIDTH:
         raise ResourceGuardError(f"width {circ.width} over verify cap {VERIFY_MAX_WIDTH}")
-    tol = 1e-12 if args.tol is None else args.tol
     check = assert_state(circ, expected, tol=tol)
     rep = {"ok": check.ok, "max_abs_error": check.max_abs_error, "tolerance": tol}
     print(json.dumps(rep, indent=2))
@@ -171,10 +179,10 @@ def cmd_verify_state(args) -> int:
 
 
 def cmd_verify_block(args) -> int:
+    tol = _tolerance(args, 1e-10)
     be, hamiltonian = args.request(args)
     if be.width > VERIFY_MAX_WIDTH:
         raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
-    tol = 1e-10 if args.tol is None else args.tol
     h = hamiltonian()
     if not h.terms:
         raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")

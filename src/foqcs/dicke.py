@@ -59,16 +59,17 @@ def balanced_thetas(n: int) -> tuple[float, ...]:
 def unbalanced_angles(a: AmplitudeList) -> DickeAngles:
     """Cascade angles reproducing arbitrary weights |alphas| plus their phases.
 
-    theta_l = 2 arccos(|a_{n-l-1}| / sqrt(1 - sum_{j<n-l-1} |a_j|^2)); when the
-    remaining weight under the square root has already been placed (< 1e-14)
-    the angle is 0, and arccos arguments are clamped against rounding.
+    theta_l = 2 arccos(|a_{n-l-1}| / sqrt(1 - sum_{j<n-l-1} |a_j|^2)). It is 0
+    from the last nonzero amplitude on (there the ratio is 1 or an ulp below)
+    and once the remaining weight is placed (< 1e-14); arccos args are clamped.
     """
     mags = [abs(v) for v in a.alphas]
+    last = max(j for j, m in enumerate(mags) if m)  # AmplitudeList has a nonzero
     thetas = []  # theta_{n-1} first: site j = n-l-1 runs upward from 0
     placed = 0.0  # sum_{i<j} |a_i|^2, added in index order
-    for m in mags[:-1]:
+    for j, m in enumerate(mags[:-1]):
         rem = 1.0 - placed
-        if rem < _DEGENERATE_TOL:
+        if j >= last or rem < _DEGENERATE_TOL:
             thetas.append(0.0)
         else:
             thetas.append(2.0 * math.acos(min(1.0, max(0.0, m / math.sqrt(rem)))))
@@ -245,12 +246,14 @@ DICKE_KINDS = {
 
 
 def dicke_kind(kind: str, k: int | None) -> DickeKind:
-    """The registry entry for kind, checked to have the k it needs."""
+    """The registry entry for kind, checked to have a k exactly if it needs one."""
     spec = DICKE_KINDS.get(kind)
     if spec is None:
         raise DomainError(f"unknown dicke kind {kind!r}")
     if spec.needs_k and k is None:
         raise DomainError(f"{kind} needs k")
+    if not spec.needs_k and k is not None:
+        raise DomainError(f"{kind} takes no k")
     return spec
 
 

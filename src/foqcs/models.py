@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, json_int
 from .pauli import PauliSum, PauliTerm
 
 AXES = ("x", "y", "z")
@@ -60,7 +60,7 @@ class HeisenbergParams:
     @classmethod
     def from_dict(cls, d: dict) -> "HeisenbergParams":
         """A coupling missing from d is 0; a key that names no field is an error."""
-        n = int(d["n"])
+        n = json_int(d["n"], "n")
         unknown = sorted(set(d) - {"n", *HEISENBERG_FIELDS})
         if unknown:
             raise ValueError(f"unknown heisenberg spec keys {unknown}")
@@ -124,7 +124,7 @@ class SpinGlassParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpinGlassParams":
-        n = int(d["n"])
+        n = json_int(d["n"], "n")
         g = np.asarray(d["g"], dtype=float)
         J = np.zeros((3, n, n))
         for a in range(3):

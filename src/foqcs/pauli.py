@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, json_int
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -113,7 +113,7 @@ class PauliSum:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliSum":
-        n = int(d["n"])
+        n = json_int(d["n"], "n")
         terms = [
             PauliTerm(complex(t["coeff"][0], t["coeff"][1]), str(t["ops"])[::-1])
             for t in d["terms"]

@@ -3,10 +3,10 @@
 Amplitudes are complex128 indexed little-endian (qubit q = bit q). Every gate
 kind, composite ones (gamma, cgamma, toffoli, ...) included, is applied through
 its exact unitary, so circuits need not be lowered before simulation. One
-kernel, _apply_unitary, applies it in place; only the sparse driver moves a
-gate with one nonzero per column itself (below). The unitaries are the
-`unitary` column of circuit.KINDS, which gate_unitary reads; this module keeps
-no per-kind rule of its own. The kernel reads the sparsity of the unitary:
+kernel, _apply_unitary, applies it in place; only the sparse driver moves the
+kinds of circuit.PERMUTATION_ROWS itself (below). Both read circuit.KINDS,
+the unitaries through gate_unitary; this module keeps no per-kind rule of its
+own. The kernel reads the sparsity of the unitary:
 it skips rows equal to the identity's, scales a diagonal-only row in place,
 multiplies by no coefficient equal to 1, and copies a slice only when a later
 row reads it after it has been overwritten. A CNOT is then one slice copy and
@@ -15,8 +15,8 @@ two assignments, and a phase gate one in-place scaling of half the amplitudes.
 Two drivers feed that kernel:
   - dense: run, simulate and circuit_unitary hold arrays shaped (2**width,) or
     (2**width, batch);
-  - sparse: _run_sparse holds a state as its support, sorted unique int64
-    basis indices and their amplitudes. A gate whose unitary has one nonzero
+  - sparse: _run_sparse holds a state as its support, unique int64 basis
+    indices and their amplitudes, sorted once per run. A kind with one nonzero
     per column (x, cnot, toffoli and the diagonal kinds) needs no kernel: each
     index moves to its image and its amplitude is multiplied by the entry
     unless that is 1, as the kernel would. Any gate that mixes amplitudes is
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KINDS, Circuit, Gate
+from .circuit import KINDS, PERMUTATION_ROWS, Circuit, Gate
 from .errors import DomainError, ResourceGuardError
 
 DEFAULT_MAX_WIDTH = 24
@@ -177,35 +177,22 @@ def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
     return amps
 
 
-def _phase_permutation(u: np.ndarray) -> tuple[list, list] | None:
-    """(rows, entries) when each column c of u has exactly one nonzero,
-    entries[c] in row rows[c], as in x, cnot, toffoli and the diagonal kinds;
-    else None."""
-    rows, entries = [], []
-    for col in zip(*u.tolist()):
-        nonzero = [(r, x) for r, x in enumerate(col) if x]
-        if len(nonzero) != 1:
-            return None
-        rows.append(nonzero[0][0])
-        entries.append(nonzero[0][1])
-    return rows, entries
-
-
 def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps).
 
-    idx holds sorted unique int64 basis indices. Per gate, each index's
+    idx holds unique int64 basis indices in any order; the result is sorted
+    once, on return, and neither input is modified. Per gate, each index's
     operand bits give its local index p (bit i of p is qubits[i]); spread[p]
-    puts p's bits back on the qubits. A gate whose unitary has one nonzero
-    per column moves each index to its column's row and multiplies its
-    amplitude by that entry unless the entry is 1, as _apply_unitary would.
-    Any other gate sorts the indices by their other bits (the group), fills
-    a C-contiguous (2**k, groups) block that _apply_unitary updates as k
-    qubits batched over the groups, and scatters the block's nonzeros back.
-    Either way the result is re-sorted and only exact zeros are dropped, so
-    a NaN stays in the support. An operand at or above SPARSE_MAX_WIDTH
-    raises ResourceGuardError rather than shift into the sign bit.
+    puts p's bits back on the qubits. A kind in PERMUTATION_ROWS moves each
+    index from column p to row rows[p] and multiplies its amplitude by that
+    entry of u unless the entry is 1, as _apply_unitary would. Any other gate
+    sorts the indices by their other bits (the group), fills a C-contiguous
+    (2**k, groups) block that _apply_unitary updates as k qubits batched over
+    the groups, and scatters the block's nonzeros back. Only exact zeros are
+    dropped, so a NaN stays in the support. An operand at or above
+    SPARSE_MAX_WIDTH raises ResourceGuardError rather than shift into the sign bit.
     """
+    amps = amps.copy()  # scaled in place below
     for g in gates:
         qs = g.qubits
         if max(qs) >= SPARSE_MAX_WIDTH:
@@ -214,21 +201,17 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
         spread = [0]
         for q in qs:
             spread += [s | 1 << q for s in spread]
-        local = (idx >> qs[0]) & 1
-        for i, q in enumerate(qs[1:], 1):
-            local |= ((idx >> q) & 1) << i
+        spread = np.array(spread)
+        local = sum(((idx >> q) & 1) << i for i, q in enumerate(qs))
         u = gate_unitary(g)
-        moves = _phase_permutation(u)
-        if moves is not None:
-            rows, entries = moves
-            flip = np.array([spread[p] ^ spread[r] for p, r in enumerate(rows)])
-            idx = idx ^ flip[local]
-            order = np.argsort(idx)
-            idx, amps = idx[order], amps[order]
-            if any(x != 1 for x in entries):
-                local = local[order]
-                scaled = np.array([x != 1 for x in entries])[local]
-                amps[scaled] *= np.array(entries)[local[scaled]]
+        rows = PERMUTATION_ROWS.get(g.kind)
+        if rows is not None:
+            idx = idx ^ (spread ^ spread[rows])[local]
+            entries = u[rows, range(rows.size)]
+            scale = entries != 1
+            if scale.any():
+                scaled = scale[local]
+                amps[scaled] *= entries[local[scaled]]
             if not amps.all():
                 nonzero = amps != 0
                 idx, amps = idx[nonzero], amps[nonzero]
@@ -239,14 +222,13 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
             first = np.empty(rest.size, dtype=bool)  # first index of its group
             first[:1] = True
             np.not_equal(rest[1:], rest[:-1], out=first[1:])
-            blk = np.zeros((len(spread), int(first.sum())), dtype=complex)
+            blk = np.zeros((spread.size, int(first.sum())), dtype=complex)
             blk[local[order], np.cumsum(first) - 1] = amps[order]
             _apply_unitary(blk, u, tuple(range(len(qs))), len(qs))
             r, c = np.nonzero(blk)
-            idx = rest[first][c] | np.array(spread)[r]
-            order = np.argsort(idx)
-            idx, amps = idx[order], blk[r[order], c[order]]
-    return idx, amps
+            idx, amps = rest[first][c] | spread[r], blk[r, c]
+    order = np.argsort(idx)
+    return idx[order], amps[order]
 
 
 def simulate(circuit: Circuit, init: StateVector | None = None) -> StateVector:
@@ -308,7 +290,7 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     block = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, dim, step):
         b = np.arange(lo, min(lo + step, dim), dtype=np.int64)[:, None]
-        # column bits on top: sorted and unique, as _run_sparse needs
+        # column bits on top: unique, as _run_sparse needs
         start = (v_idx | b << sys_start | b << be.width).ravel()
         idx, amps = _run_sparse(be.select.gates, start, np.tile(v[v_idx], b.size))
         np.add.at(block, ((idx >> sys_start) & (dim - 1), idx >> be.width),

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foqcs.circuit import (
+    DIAGONAL_KINDS,
     KINDS,
     LOWERED_KINDS,
+    PERMUTATION_ROWS,
     BlockEncoding,
     Circuit,
     Gate,
@@ -429,3 +431,34 @@ def test_a_gate_is_an_immutable_plain_tuple():
     with pytest.raises(TypeError):
         g[2] = 1.0
     assert g == ("ry", (3,), 0.5)
+
+
+def _phase_permutation(u: np.ndarray) -> tuple[list, list] | None:
+    """(rows, entries) when each column c of u has exactly one nonzero,
+    entries[c] in row rows[c]; else None. The sparse simulator once ran this
+    scan on every gate; it is the reference for PERMUTATION_ROWS."""
+    rows, entries = [], []
+    for col in zip(*u.tolist()):
+        nonzero = [(r, x) for r, x in enumerate(col) if x]
+        if len(nonzero) != 1:
+            return None
+        rows.append(nonzero[0][0])
+        entries.append(nonzero[0][1])
+    return rows, entries
+
+
+def test_permutation_rows_hold_at_every_angle():
+    # A listed kind has one nonzero per column, in the listed rows, whatever
+    # the angle; an unlisted kind mixes amplitudes at a generic angle.
+    rng = np.random.default_rng(15)
+    for kind, row in KINDS.items():
+        angles = [0.0, -0.0, math.pi, -math.pi, float(rng.uniform(-4, 4))]
+        for angle in angles if row.angled else [None]:
+            moves = _phase_permutation(row.unitary(angle))
+            if kind in PERMUTATION_ROWS:
+                assert moves is not None, (kind, angle)
+                assert moves[0] == PERMUTATION_ROWS[kind].tolist(), (kind, angle)
+        if kind not in PERMUTATION_ROWS:
+            assert moves is None, kind  # at the random angle, or h at none
+    assert set(PERMUTATION_ROWS) == {"x", "cnot", "toffoli", *DIAGONAL_KINDS}
+    assert DIAGONAL_KINDS == {"s", "sdg", "rz", "phase", "cz", "crz", "cphase"}

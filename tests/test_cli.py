@@ -874,3 +874,96 @@ def test_python_m_foqcs_runs_the_cli(capsys):
     proc = subprocess.run([sys.executable, "-m", "foqcs", *argv], capture_output=True,
                           text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+# README: "Checks that depend on a value also exit 2": --k with a kind that
+# needs no k, --k 0, --alphas with a balanced Dicke kind, and an empty --n
+# range; each for every command that takes the flag.
+ALPHAS3 = ["--alphas", "[[1, 0], [0, 1], [1, 1]]"]
+VALUE_CHECKS = [
+    *[(f"{c}-{kind}-k", [c, "dicke", "--kind", kind, "--n", "3", "--k", "1", *extra])
+      for c in ("encode", "verify")
+      for kind, extra in (("d1", []), ("d1u", ALPHAS3), ("d1d", []), ("d1du", ALPHAS3))],
+    *[(f"counts-{kind}-k", ["counts", "dicke", "--kind", kind, "--n", "3", "--k", "1"])
+      for kind in ("d1", "d1d")],
+    *[(f"{c}-{kind}-k0", [c, "dicke", "--kind", kind, "--n", "4", "--k", "0"])
+      for c in ("encode", "verify", "counts") for kind in ("d2k", "d2kd")],
+    *[(f"{c}-{kind}-alphas", [c, "dicke", "--kind", kind, "--n", "4", *extra, *ALPHAS3])
+      for c in ("encode", "verify") for kind, extra in (("d1", []), ("d2kd", ["--k", "1"]))],
+    *[(f"counts-{m}-empty-range", ["counts", m, "--n", "5:2"])
+      for m in ("heisenberg", "spin-glass", "dicke")],
+]
+
+
+@pytest.mark.parametrize("argv", [a for _, a in VALUE_CHECKS], ids=[i for i, _ in VALUE_CHECKS])
+def test_readme_value_checks_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + (["-o", "out"] if argv[0] == "encode" else [])) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dicke_spec_k_for_a_kind_without_k_exits_2(tmp_path, capsys):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"kind": "d1", "n": 3, "k": 1}))
+    assert main(["verify", "dicke", "--spec", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d1 takes no k" in captured.err
+
+
+@pytest.mark.parametrize("kind, n, k, alphas", [
+    ("d1u", 3, None, [[1, 0], [1, 0], [0, 0]]),
+    ("d1u", 4, None, [[3, 0], [1, 0], [0, 0], [0, 0]]),
+    ("d2ku", 4, 1, [[1, 0], [1, 0], [0, 0]]),
+    ("d1du", 3, None, [[1, 0], [1, 0], [0, 0]]),
+    ("d2kdu", 4, 1, [[1, 0], [1, 0], [0, 0]]),
+])
+def test_trailing_zero_amplitudes_verify_at_1e_12(capsys, kind, n, k, alphas):
+    # The angle at the last nonzero amplitude was acos of one ulp below 1, ~3e-8.
+    argv = ["verify", "dicke", "--kind", kind, "--n", str(n), "--alphas", json.dumps(alphas)]
+    assert main(argv + ([] if k is None else ["--k", str(k)])) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["tolerance"] == 1e-12 and out["max_abs_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-12"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "heisenberg", "--n", "3"],
+    ["verify", "spin-glass", "--n", "2"],
+    ["verify", "dicke", "--kind", "d1", "--n", "3"],
+], ids=["heisenberg", "spin-glass", "dicke"])
+def test_verify_refuses_a_negative_or_non_finite_tol_before_drawing(monkeypatch, capsys,
+                                                                    argv, tol):
+    def refuse(*args):
+        raise AssertionError("the model was drawn")
+
+    for name in ("random_heisenberg", "random_spin_glass", "dicke_kind"):
+        monkeypatch.setattr(foqcs.cli, name, refuse)
+    assert main(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be finite and at least 0" in captured.err
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True], ids=repr)
+@pytest.mark.parametrize("model, spec, key", [
+    ("heisenberg", {"n": 3, "gx": 1.0}, "n"),
+    ("spin-glass", {"n": 2, "g": [[0.5, -0.25], [0.3, 0.4], [0.1, 0.9]],
+                    "J": [[[0.7]], [[-0.2]], [[0.6]]]}, "n"),
+    ("generic", {"n": 2, "terms": [{"coeff": [0.5, 0.0], "ops": "XZ"}]}, "n"),
+    ("dicke", {"kind": "d1", "n": 3}, "n"),
+    ("dicke", {"kind": "d2k", "n": 4, "k": 1}, "k"),
+], ids=["heisenberg-n", "spin-glass-n", "generic-n", "dicke-n", "dicke-k"])
+def test_spec_n_or_k_that_is_not_an_int_is_an_input_error(tmp_path, capsys, model, spec,
+                                                          key, bad):
+    # Once 2.5 was read as 2, "2" as 2 and true as 1.
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main(["verify", model, "--spec", str(f)]) == 0
+    capsys.readouterr()
+    f.write_text(json.dumps({**spec, key: bad}))
+    assert main(["verify", model, "--spec", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} must be an integer, got {bad!r}" in captured.err

@@ -46,12 +46,14 @@ def test_all_weight_on_site_zero():
 
 def _quadratic_angles(mags):
     """(theta_l, remaining weight) for l = 1..n-1 by the formula as first
-    written, which re-sums each prefix: O(n^2). The reference for the running sum."""
+    written, which re-sums each prefix: O(n^2). The reference for the running
+    sum; like it, it gives 0 at and after the last nonzero amplitude."""
     n = len(mags)
+    last = max(j for j, m in enumerate(mags) if m)
     out = []
     for l in range(1, n):
         rem = 1.0 - sum(m * m for m in mags[: n - l - 1])
-        if rem < 1e-14:
+        if n - l - 1 >= last or rem < 1e-14:
             out.append((0.0, rem))
         else:
             ratio = min(1.0, max(0.0, mags[n - l - 1] / math.sqrt(rem)))

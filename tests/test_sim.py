@@ -240,33 +240,55 @@ def _run_sparse_by_blocks(gates, idx, amps):
     return idx, amps
 
 
-def test_sparse_driver_is_bit_identical_to_the_block_reference():
-    # Random sparse states of 1..60 entries, with exact zeros, signed zeros,
-    # subnormals, huge values, inf and NaN, through runs of every kind at
-    # angles that make rotations the identity or a permutation with phases.
-    rng = np.random.default_rng(71)
+def _random_sparse_case(rng, width):
+    """A random sparse state of 1..60 entries, sorted, with exact zeros, signed
+    zeros, subnormals, huge values, inf and NaN, and 8 random gates of every
+    kind at angles that make rotations the identity or a permutation with
+    phases."""
     special = [0.0, -0.0, 5e-324, -1e-310, 1e300, np.inf, -np.inf, np.nan]
-    width = 6
+    size = int(rng.integers(1, 61))
+    idx = np.sort(rng.choice(1 << width, size=size, replace=False)).astype(np.int64)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for j in rng.choice(size, size=min(size, 3), replace=False):
+        amps[j] = complex(rng.choice(special), rng.choice(special))
+    gates = []
+    for _ in range(8):
+        kind = rng.choice(list(GATE_KINDS))
+        arity, angled = GATE_KINDS[kind]
+        qs = tuple(int(q) for q in rng.permutation(width)[:arity])
+        angle = float(rng.choice([0.0, -0.0, np.pi, -np.pi, rng.uniform(-4, 4)]))
+        gates.append(Gate(str(kind), qs, angle if angled else None))
+    return idx, amps, gates
+
+
+def test_sparse_driver_is_bit_identical_to_the_block_reference():
+    rng = np.random.default_rng(71)
     for trial in range(150):
-        size = int(rng.integers(1, 61))
-        idx = np.sort(rng.choice(1 << width, size=size, replace=False)).astype(np.int64)
-        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-        for j in rng.choice(size, size=min(size, 3), replace=False):
-            amps[j] = complex(rng.choice(special), rng.choice(special))
-        gates = []
-        for _ in range(8):
-            kind = rng.choice(list(GATE_KINDS))
-            arity, angled = GATE_KINDS[kind]
-            qs = tuple(int(q) for q in rng.permutation(width)[:arity])
-            angle = float(rng.choice([0.0, -0.0, np.pi, -np.pi, rng.uniform(-4, 4)]))
-            gates.append(Gate(str(kind), qs, angle if angled else None))
-        given = amps.tobytes()
+        idx, amps, gates = _random_sparse_case(rng, 6)
+        given = idx.tobytes(), amps.tobytes()
         with np.errstate(all="ignore"):
             want = _run_sparse_by_blocks(gates, idx, amps)
             got = _run_sparse(gates, idx, amps)
-        assert amps.tobytes() == given
+        assert (idx.tobytes(), amps.tobytes()) == given
         assert got[0].dtype == np.int64
         assert np.array_equal(got[0], want[0]), trial
+        assert got[1].tobytes() == want[1].tobytes(), trial
+
+
+def test_sparse_driver_takes_unsorted_input_and_sorts_its_output():
+    # The support need only be unique: a shuffled input gives the same bytes.
+    rng = np.random.default_rng(15)
+    for trial in range(150):
+        idx, amps, gates = _random_sparse_case(rng, 6)
+        perm = rng.permutation(idx.size)
+        shuffled_idx, shuffled_amps = idx[perm], amps[perm]
+        given = shuffled_idx.tobytes(), shuffled_amps.tobytes()
+        with np.errstate(all="ignore"):
+            want = _run_sparse(gates, idx, amps)
+            got = _run_sparse(gates, shuffled_idx, shuffled_amps)
+        assert (shuffled_idx.tobytes(), shuffled_amps.tobytes()) == given
+        assert np.all(got[0][1:] > got[0][:-1]), trial
+        assert got[0].tobytes() == want[0].tobytes(), trial
         assert got[1].tobytes() == want[1].tobytes(), trial
 
 
