@@ -582,9 +582,16 @@ def _lower_gate(g: Gate) -> list[Gate]:
 
 
 def lower(c: Circuit) -> Circuit:
-    """Rewrite onto the one/two-qubit target set {x,h,s,sdg,ry,rz,phase,cnot,cz}."""
-    return Circuit(c.width, tuple(chain.from_iterable(_per_gate(_lower_gate, c.gates))),
-                   c.layout)
+    """Rewrite onto the one/two-qubit target set {x,h,s,sdg,ry,rz,phase,cnot,cz}.
+
+    Every lowering puts its gates on the operands of the gate it rewrites,
+    which c has checked, so the result skips Circuit's qubit checks.
+    """
+    out = object.__new__(Circuit)
+    for name, value in (("width", c.width), ("layout", c.layout),
+                        ("gates", tuple(chain.from_iterable(_per_gate(_lower_gate, c.gates))))):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _lowered_cost(kind: str) -> tuple[int, int]:

@@ -188,12 +188,14 @@ def cmd_verify_block(args) -> int:
         raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")
     reference = hamiltonian_matrix(h) / one_norm(h)
     rep = extract_block(be, reference)
-    out = {"ok": bool(rep.max_abs_error <= tol), "max_abs_error": rep.max_abs_error,
+    ok = rep.within(tol)
+    out = {"ok": ok, "max_abs_error": rep.max_abs_error,
            "tolerance": tol, "normalization": be.normalization,
            "postselect_probability": rep.postselect_probability.tolist()}
     print(json.dumps(out, indent=2))
-    _log(f"{args.model}: block error {rep.max_abs_error:.2e} (tol {tol:g})")
-    return 0 if rep.max_abs_error <= tol else 2
+    _log(f"{args.model}: block error {rep.max_abs_error:.2e}, truncation "
+         f"{rep.truncation:.1e} (tol {tol:g})")
+    return 0 if ok else 2
 
 
 def _parse_range(text: str) -> list[int]:

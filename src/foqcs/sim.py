@@ -24,27 +24,34 @@ Two drivers feed that kernel:
     the gate does not touch (found by one argsort), given to the kernel, and
     scattered back. A gate costs about the support size, not 2**width.
 
-assert_state and the SELECT part of extract_block run sparse. The paper's
-Dicke states and check-matrix SELECT keep a tiny support (a d1 state on n
-qubits has n nonzeros), so verify dicke costs about gates x support. PR acts
-on the ancillae alone, so it runs dense once on 2**sys_start amplitudes;
-SELECT runs on the support of PR|0_anc> x |b> for many system columns b per
+assert_state and extract_block run sparse. The paper's Dicke states and check-matrix SELECT
+keep a tiny support (a d1 state on n qubits has n nonzeros), so verify dicke
+costs about gates x support. PR acts on the ancillae alone and runs sparse
+from the single index 0, truncated: after each mixing gate, amplitudes of
+modulus at most TRUNCATION (rounding residue of the spin-glass staircases and
+of generic_foqcs's brute-force preparation) are dropped and their 2-norm
+summed into a budget delta that the block report carries. SELECT runs,
+untruncated, on the support of PR|0_anc> x |b> for many system columns b per
 pass, each b held in index bits above the circuit. PL is conj(PR), so neither
 PL nor PL-dagger is built or run: <0_anc| PL-dagger = (conj v)-dagger = v^T.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KINDS, PERMUTATION_ROWS, Circuit, Gate
+from .circuit import DIAGONAL_KINDS, KINDS, PERMUTATION_ROWS, Circuit, Gate
 from .errors import DomainError, ResourceGuardError
 
 DEFAULT_MAX_WIDTH = 24
 # Sparse basis indices are int64; this many bits leave every shift in range.
 SPARSE_MAX_WIDTH = 62
+# After a mixing gate, a truncating sparse run drops every amplitude with
+# 0 < |amp| <= TRUNCATION and reports the 2-norm it dropped.
+TRUNCATION = 1e-14
 
 
 def max_width() -> int:
@@ -177,8 +184,9 @@ def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
     return amps
 
 
-def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps).
+def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
+                truncate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+    """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps, delta).
 
     idx holds unique int64 basis indices in any order; the result is sorted
     once, on return, and neither input is modified. Per gate, each index's
@@ -188,11 +196,17 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
     entry of u unless the entry is 1, as _apply_unitary would. Any other gate
     sorts the indices by their other bits (the group), fills a C-contiguous
     (2**k, groups) block that _apply_unitary updates as k qubits batched over
-    the groups, and scatters the block's nonzeros back. Only exact zeros are
-    dropped, so a NaN stays in the support. An operand at or above
-    SPARSE_MAX_WIDTH raises ResourceGuardError rather than shift into the sign bit.
+    the groups, and scatters the block's nonzeros back. Exact zeros are
+    dropped. With truncate, so is every entry with |amp| <= TRUNCATION after a
+    mixing gate, and delta sums the 2-norms of what each gate dropped: every
+    gate is unitary, so in exact arithmetic the untruncated result is within
+    delta of the returned one in 2-norm. Without truncate delta is 0.
+    |NaN| <= TRUNCATION is False, so a NaN stays in the support. An operand at
+    or above SPARSE_MAX_WIDTH raises ResourceGuardError rather than shift into
+    the sign bit.
     """
     amps = amps.copy()  # scaled in place below
+    delta = 0.0
     for g in gates:
         qs = g.qubits
         if max(qs) >= SPARSE_MAX_WIDTH:
@@ -202,12 +216,15 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
         for q in qs:
             spread += [s | 1 << q for s in spread]
         spread = np.array(spread)
-        local = sum(((idx >> q) & 1) << i for i, q in enumerate(qs))
+        local = (idx >> qs[0]) & 1
+        for i, q in enumerate(qs[1:], 1):
+            local |= ((idx >> q) & 1) << i
         u = gate_unitary(g)
         rows = PERMUTATION_ROWS.get(g.kind)
         if rows is not None:
-            idx = idx ^ (spread ^ spread[rows])[local]
-            entries = u[rows, range(rows.size)]
+            if g.kind not in DIAGONAL_KINDS:
+                idx = idx ^ (spread ^ spread[rows])[local]
+            entries = u[rows, np.arange(rows.size)]
             scale = entries != 1
             if scale.any():
                 scaled = scale[local]
@@ -227,8 +244,14 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, n
             _apply_unitary(blk, u, tuple(range(len(qs))), len(qs))
             r, c = np.nonzero(blk)
             idx, amps = rest[first][c] | spread[r], blk[r, c]
+            if truncate:
+                mag = np.abs(amps)
+                small = mag <= TRUNCATION  # False for NaN
+                if small.any():
+                    delta += math.hypot(*mag[small].tolist())
+                    idx, amps = idx[~small], amps[~small]
     order = np.argsort(idx)
-    return idx[order], amps[order]
+    return idx[order], amps[order], delta
 
 
 def simulate(circuit: Circuit, init: StateVector | None = None) -> StateVector:
@@ -258,46 +281,65 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 @dataclass
 class BlockReport:
-    """Encoded block and its post-selection statistics."""
+    """Encoded block, its post-selection statistics and the truncation budget.
+
+    truncation is the 2-norm delta dropped from v = PR|0_anc>. SELECT is
+    unitary and v, of norm at most 1, is both ket and bra, so the exact block
+    is within 2 delta + delta**2 of the reported one.
+    """
 
     block: np.ndarray
     max_abs_error: float
     postselect_probability: np.ndarray
+    truncation: float
+
+    def within(self, tol: float) -> bool:
+        """Whether max_abs_error, widened by the truncation bound, is within
+        tol; a NaN error never is."""
+        d = self.truncation
+        return bool(self.max_abs_error + 2 * d + d * d <= tol)
 
 
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register.
 
-    PR acts on the ancillae alone, so v = PR|0_anc> runs forward once, dense,
-    on the 2**sys_start ancilla amplitudes. PL = conj(PR) prepares conj(v),
-    so the bra <0_anc| PL-dagger is v^T: v itself serves as both ket and bra.
-    SELECT then runs sparse on many columns per pass: column b starts as
+    PR acts on the ancillae alone, so v = PR|0_anc> runs forward once, sparse
+    from the single index 0 and truncated (see _run_sparse), so the report
+    carries its budget. PL = conj(PR) prepares conj(v), so the bra
+    <0_anc| PL-dagger is v^T: v itself serves as both ket and bra. SELECT then
+    runs sparse, untruncated, on many columns per pass: column b starts as
     v x |b>, with b copied into n extra bits above the top qubit that no gate
     reads, so the columns never mix. A pass starts from at most 2**sys_start
     entries (all columns when v is sparse, one when v is dense), never from
-    nnz(v) * 2**n ~ 2**width. Each output entry adds v_anc times its
-    amplitude to block[row, b]. The per-input post-selection probability is
-    the squared norm of column b.
+    nnz(v) * 2**n ~ 2**width. Each output entry whose ancilla part is in the
+    support of v adds v_anc times its amplitude to block[row, b]; any other
+    entry meets a zero of the bra. The per-input post-selection probability
+    is the squared norm of column b.
     """
     _check_sparse_width(be.width)
     sys_start, n = be.layout["system"]
     if be.width + n > SPARSE_MAX_WIDTH:
         raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
                                  f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
-    v = _run_gates(be.prep, StateVector.zero(sys_start).amps, sys_start)
-    v_idx = np.flatnonzero(v)
+    v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=np.int64),
+                                  np.ones(1, dtype=complex), truncate=True)
     dim, step = 1 << n, max(1, (1 << sys_start) // v_idx.size)
     block = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, dim, step):
         b = np.arange(lo, min(lo + step, dim), dtype=np.int64)[:, None]
         # column bits on top: unique, as _run_sparse needs
         start = (v_idx | b << sys_start | b << be.width).ravel()
-        idx, amps = _run_sparse(be.select.gates, start, np.tile(v[v_idx], b.size))
+        idx, amps, _ = _run_sparse(be.select.gates, start, np.tile(v, b.size))
+        anc = idx & ((1 << sys_start) - 1)
+        pos = np.minimum(np.searchsorted(v_idx, anc), v_idx.size - 1)
+        hit = v_idx[pos] == anc
+        idx = idx[hit]
         np.add.at(block, ((idx >> sys_start) & (dim - 1), idx >> be.width),
-                  v[idx & ((1 << sys_start) - 1)] * amps)
+                  v[pos[hit]] * amps[hit])
     probs = np.sum(np.abs(block) ** 2, axis=0)
     err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
-    return BlockReport(block=block, max_abs_error=err, postselect_probability=probs)
+    return BlockReport(block=block, max_abs_error=err, postselect_probability=probs,
+                       truncation=delta)
 
 
 @dataclass
@@ -328,7 +370,7 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
     else:
         idx = np.flatnonzero(init.amps)
         amps = np.asarray(init.amps, dtype=complex)[idx]
-    idx, amps = _run_sparse(circuit.gates, idx, amps)
+    idx, amps, _ = _run_sparse(circuit.gates, idx, amps)
     for i in expected:
         if not 0 <= i < dim:
             raise DomainError(f"expected index {i} out of range")

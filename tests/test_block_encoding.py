@@ -217,14 +217,15 @@ def test_each_encoding_builds_and_runs_its_pr_once(monkeypatch, capsys):
     def counted(mod, name):
         build = getattr(mod, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return build(*args)
+        def wrapper(*args, **kwargs):
+            # A sparse run is keyed by its truncate flag: PR is the truncated one.
+            calls[(name, kwargs.get("truncate", False)) if name == "_run_sparse" else name] += 1
+            return build(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
 
     for mod, name in ((encoder, "_heisenberg_pr_gates"), (encoder, "_spin_glass_pr_gates"),
                       (encoder, "state_prep_gates"), (baseline, "state_prep_gates"),
-                      (sim, "_run_gates")):
+                      (sim, "_run_gates"), (sim, "_run_sparse")):
         counted(mod, name)
     rng = np.random.default_rng(606)
     h3 = heisenberg_hamiltonian(random_heisenberg(3, rng))
@@ -242,4 +243,5 @@ def test_each_encoding_builds_and_runs_its_pr_once(monkeypatch, capsys):
                         ("spin-glass", "_spin_glass_pr_gates")):
         calls.clear()
         assert cli.main(["verify", model, "--n", "3", "--seed", "1"]) == 0
-        assert calls == {name: 1, "_run_gates": 1}, model
+        assert calls.pop(("_run_sparse", False)) >= 1, model  # the SELECT passes
+        assert calls == {name: 1, ("_run_sparse", True): 1}, model  # no dense run

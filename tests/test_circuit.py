@@ -462,3 +462,19 @@ def test_permutation_rows_hold_at_every_angle():
             assert moves is None, kind  # at the random angle, or h at none
     assert set(PERMUTATION_ROWS) == {"x", "cnot", "toffoli", *DIAGONAL_KINDS}
     assert DIAGONAL_KINDS == {"s", "sdg", "rz", "phase", "cz", "crz", "cphase"}
+
+
+def test_every_lowering_keeps_to_the_operands_of_its_gate():
+    # lower skips Circuit's qubit checks on its output because of this: every
+    # lowering, cgamma's included, emits only int qubits from its gate's operands.
+    rng = np.random.default_rng(16)
+    for kind, row in KINDS.items():
+        for _ in range(4):
+            qubits = tuple(int(q) for q in rng.permutation(40)[:row.arity])
+            angles = [0.0, -0.0, math.pi, -math.pi, float(rng.uniform(-4, 4))]
+            for angle in angles if row.angled else [None]:
+                low = lower(Circuit(40, (Gate(kind, qubits, angle),))).gates
+                assert low, (kind, angle)
+                for g in low:
+                    assert {type(q) for q in g.qubits} == {int}, (kind, angle, g)
+                    assert set(g.qubits) <= set(qubits), (kind, angle, g)

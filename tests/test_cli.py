@@ -64,6 +64,16 @@ def test_verify_heisenberg(capsys):
     assert out["ok"] and out["max_abs_error"] <= 1e-10
 
 
+def test_verify_names_the_truncation_budget_on_stderr(capsys):
+    # Spin glass PR drops residues of about 1e-17; the budget goes to stderr only.
+    code = main(["verify", "spin-glass", "--n", "3", "--seed", "7"])
+    cap = capsys.readouterr()
+    assert code == 0 and json.loads(cap.out)["ok"]
+    assert "truncation" not in cap.out
+    assert re.search(r"spin-glass: block error \S+, truncation [1-9]\.\de-1[5-9] \(tol 1e-10\)",
+                     cap.err), cap.err
+
+
 def test_verify_dicke(capsys):
     code = main(["verify", "dicke", "--kind", "d2k", "--n", "5", "--k", "1"])
     assert code == 0

@@ -104,6 +104,14 @@ def repeating_circuits(draw):
     return Circuit(width, tuple(gates), {"anc": (0, anc), "system": (anc, width - anc)})
 
 
+@PROPERTY_SETTINGS
+@given(st.one_of(circuits(angles=EDGE_ANGLES), repeating_circuits()))
+def test_lower_equals_the_checked_circuit_of_its_gates(c):
+    # lower builds its result without Circuit's checks; the checked one is equal.
+    low = lower(c)
+    assert low == Circuit(c.width, low.gates, c.layout)
+
+
 def _lower_by_gate(c: Circuit) -> Circuit:
     """The reference lower: every gate lowered on its own."""
     return Circuit(c.width, tuple(low for g in c.gates for low in circuit._lower_gate(g)),
@@ -232,7 +240,7 @@ def _dense(width, idx, amps):
 def test_sparse_driver_agrees_with_dense_run(c, data):
     idx, amps = _sparse_init(data, c.width)
     dense = run(c, _dense(c.width, idx, amps))
-    out_idx, out_amps = _run_sparse(c.gates, idx, amps)
+    out_idx, out_amps, _ = _run_sparse(c.gates, idx, amps)
     assert out_idx.dtype == np.int64
     assert np.all(np.diff(out_idx) > 0)  # sorted and unique
     assert np.all(out_amps != 0)
@@ -363,7 +371,7 @@ def test_heisenberg_block_with_zero_couplings(p):
 
 
 def _assert_same_state_from_zero(a: Circuit, b: Circuit):
-    idx, amps = _run_sparse(a.gates, np.zeros(1, np.int64), np.ones(1, complex))
+    idx, amps, _ = _run_sparse(a.gates, np.zeros(1, np.int64), np.ones(1, complex))
     check = assert_state(b, dict(zip(idx.tolist(), amps)), tol=1e-12)
     assert check.ok, check.mismatches
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,11 @@ from foqcs.errors import DomainError, ResourceGuardError
 from foqcs.pauli import PauliSum, PauliTerm
 from foqcs.sim import (
     SPARSE_MAX_WIDTH,
+    TRUNCATION,
+    BlockReport,
     StateVector,
     _apply_unitary,
+    _run_gates,
     _run_sparse,
     assert_state,
     extract_block,
@@ -345,6 +349,141 @@ def test_extract_block_bounds_the_support_of_a_dense_pr_state():
     finally:
         tracemalloc.stop()
     assert peak < 16 << (a + n)
+
+
+def _spin_encodings(model, ns, seeds=range(5)):
+    from foqcs.encoder import heisenberg_encoding, spin_glass_encoding
+    from foqcs.models import random_heisenberg, random_spin_glass
+
+    encode, draw = {"heisenberg": (heisenberg_encoding, random_heisenberg),
+                    "spin-glass": (spin_glass_encoding, random_spin_glass)}[model]
+    for n in ns:
+        for seed in seeds:
+            yield (model, n, seed), encode(draw(n, np.random.default_rng(seed)))
+
+
+def _pr_from_zero(be, truncate=False):
+    return _run_sparse(be.prep, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
+                       truncate=truncate)
+
+
+def _gap(a, b) -> float:
+    """The 2-norm of the difference of two sparse states (idx, amps, ...)."""
+    union = np.union1d(a[0], b[0])
+    diff = np.zeros(union.size, dtype=complex)
+    diff[np.searchsorted(union, a[0])] = a[1]
+    diff[np.searchsorted(union, b[0])] -= b[1]
+    return float(np.linalg.norm(diff))
+
+
+def test_sparse_pr_is_bit_identical_to_the_dense_run():
+    # Untruncated, extract_block's v = PR|0> is the old dense run's, support
+    # and amplitude bytes; so is the truncated v whenever nothing is dropped,
+    # which holds for every Heisenberg encoding. Spin glass n = 4 has 20
+    # ancillae, the widest dense run that fits under max_width().
+    cases = [*_spin_encodings("heisenberg", range(2, 7)), *_spin_encodings("spin-glass", (2, 3, 4))]
+    for case, be in cases:
+        a = be.layout["system"][0]
+        dense = _run_gates(be.prep, StateVector.zero(a).amps, a)
+        support = np.flatnonzero(dense)
+        for truncate in (False, True):
+            idx, amps, delta = _pr_from_zero(be, truncate)
+            if case[0] == "heisenberg" or not truncate:
+                assert delta == 0.0, (case, truncate)
+            if delta == 0.0:
+                assert idx.tobytes() == support.astype(np.int64).tobytes(), (case, truncate)
+                assert amps.tobytes() == dense[support].tobytes(), (case, truncate)
+
+
+def test_truncation_budget_bounds_the_spin_glass_pr():
+    # The untruncated run stands in for the dense one, which it equals bit for
+    # bit (above); at n = 5 (25 ancillae) no dense run fits.
+    for case, be in _spin_encodings("spin-glass", (3, 4, 5)):
+        exact, kept = _pr_from_zero(be), _pr_from_zero(be, truncate=True)
+        delta = kept[2]
+        assert 0 < delta < 1e-15 and kept[0].size < exact[0].size, case
+        assert _gap(exact, kept) <= delta, case
+
+
+def test_truncation_budget_is_what_each_gate_drops():
+    # Gate by gate on generic_foqcs's PR: the truncated run keeps the
+    # untruncated output's entries above TRUNCATION byte for byte and drops
+    # the rest, and the whole run's delta is the sum of the 2-norms dropped.
+    # Each gate is unitary, so the exact v is within delta of the truncated
+    # one. End to end the two float runs also differ by the rounding of their
+    # kept amplitudes (up to 2e-15 on random sums at n = 5), so the bound is
+    # checked per gate here.
+    from foqcs.encoder import generic_foqcs
+    from tests.test_encoder import random_pauli_sum
+
+    rng = np.random.default_rng(16)
+    budgets = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(2):
+            be = generic_foqcs(random_pauli_sum(rng, n, hermitian=True))
+            idx, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+            total = 0.0
+            for g in be.prep:
+                full = _run_sparse([g], idx, amps)
+                idx, amps, dropped = _run_sparse([g], idx, amps, truncate=True)
+                kept = np.isin(full[0], idx)
+                assert full[0][kept].tobytes() == idx.tobytes()
+                assert full[1][kept].tobytes() == amps.tobytes()
+                small = np.abs(full[1][~kept])
+                assert np.all(small <= TRUNCATION) and np.all(np.abs(amps) > TRUNCATION)
+                assert math.isclose(dropped, math.hypot(*small.tolist()), rel_tol=1e-12)
+                total += dropped
+            whole = _pr_from_zero(be, truncate=True)
+            assert whole[0].tobytes() == idx.tobytes() and whole[1].tobytes() == amps.tobytes()
+            assert whole[2] == total, n
+            budgets.append(total)
+    assert min(budgets[2:]) > 0  # every case at n >= 2 drops something
+
+
+def test_truncation_keeps_a_nan_and_counts_what_it_drops():
+    # h(0) sends NaN at |0> to NaN at |0> and |1>, and 1e-20 at |2> to two
+    # entries of 1e-20 / sqrt(2) at |2> and |3>, which are dropped.
+    idx, amps = np.array([0, 2], dtype=np.int64), np.array([np.nan, 1e-20], dtype=complex)
+    out_idx, out_amps, delta = _run_sparse([h(0)], idx, amps, truncate=True)
+    assert out_idx.tolist() == [0, 1] and np.all(np.isnan(out_amps))
+    assert math.isclose(delta, 1e-20, rel_tol=1e-12)
+    out_idx, _, delta = _run_sparse([h(0)], idx, amps)
+    assert out_idx.tolist() == [0, 1, 2, 3] and delta == 0.0
+
+
+def test_block_passes_only_within_the_truncation_widened_tolerance():
+    def within(err, delta, tol):
+        return BlockReport(np.zeros((1, 1)), err, np.zeros(1), delta).within(tol)
+
+    assert within(0.0, 0.0, 0.0)
+    assert within(0.5, 0.25, 1.0625)  # 0.5 + 2 * 0.25 + 0.25**2, exact in binary
+    assert not within(0.5, 0.25, 1.0)  # err <= tol, but not err + 2 delta + delta**2
+    assert not within(math.nan, 0.0, 1.0)
+    assert not within(0.0, math.nan, 1.0)
+    assert not within(math.inf, 0.0, 1e308)
+
+
+def test_extract_block_of_the_widest_spin_glass_stays_small():
+    # Spin glass n = 4: 20 ancillae, width 24 = max_width(). The old dense v
+    # alone took 16 MiB.
+    from foqcs.encoder import spin_glass_encoding
+    from foqcs.models import random_spin_glass, spin_glass_hamiltonian
+    from foqcs.pauli import hamiltonian_matrix, one_norm
+
+    p = random_spin_glass(4, np.random.default_rng(24))
+    be = spin_glass_encoding(p)
+    assert be.width == max_width() == 24
+    h_ = spin_glass_hamiltonian(p)
+    ref = hamiltonian_matrix(h_) / one_norm(h_)
+    extract_block(be, ref)  # the first call's lazy imports are not the pass's memory
+    tracemalloc.start()
+    try:
+        rep = extract_block(be, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert 0 < rep.truncation and rep.within(1e-10), rep.max_abs_error
 
 
 def test_assert_state_stays_on_the_support():
