@@ -17,7 +17,7 @@ from . import report as report_mod
 from .circuit import export_qasm, lower
 from .dicke import AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
-from .errors import DomainError, ResourceGuardError, json_int
+from .errors import DomainError, ResourceGuardError, check_entries, json_int
 from .models import (
     HEISENBERG_FIELDS,
     HeisenbergParams,
@@ -28,9 +28,8 @@ from .models import (
     spin_glass_hamiltonian,
 )
 from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
-from .sim import assert_state, extract_block
+from .sim import SPARSE_MAX_WIDTH, assert_state, extract_block
 
-VERIFY_MAX_WIDTH = 21
 SWEEP_MAX_LEN = 10_000  # values of n in one counts range
 # --spec holds the whole model, so it excludes these flags. They default to None
 # (the seed's 0 is filled in where a model is drawn), so an explicit one shows.
@@ -52,15 +51,21 @@ def _from_json(what: str, build, data):
 
 
 def _check_n(args, n: int | None) -> None:
-    """verify's width cap on n: every model's width is at least n."""
-    if args.command == "verify" and n is not None and n > VERIFY_MAX_WIDTH:
-        raise ResourceGuardError(f"n = {n} puts the width over verify cap {VERIFY_MAX_WIDTH}")
+    """verify refuses a block model's dense 2^n x 2^n reference over the entry
+    budget, and a Dicke state over the sparse simulator's int64 index."""
+    if args.command != "verify" or n is None or n < 0:  # the model refuses n < 0
+        return
+    if args.func is cmd_verify_block:
+        check_entries(f"verify's 2^{n} x 2^{n} reference", 1, 2 * n)
+    elif n > SPARSE_MAX_WIDTH:
+        raise ResourceGuardError(
+            f"n = {n} is over the sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
 
 
 def _spec(args, what: str, build):
     """build(JSON read from --spec), or None without --spec. Every request
-    starts here, so verify refuses an n over its cap, from --n or from the
-    spec, before any model is drawn or circuit built."""
+    starts here, so verify refuses an n it cannot check, from --n or from
+    the spec, before any model is drawn or circuit built."""
     if args.spec is None:
         _check_n(args, getattr(args, "n", None))
         return None
@@ -169,8 +174,6 @@ def _tolerance(args, default: float) -> float:
 def cmd_verify_state(args) -> int:
     tol = _tolerance(args, 1e-12)
     circ, expected = args.request(args)
-    if circ.width > VERIFY_MAX_WIDTH:
-        raise ResourceGuardError(f"width {circ.width} over verify cap {VERIFY_MAX_WIDTH}")
     check = assert_state(circ, expected, tol=tol)
     rep = {"ok": check.ok, "max_abs_error": check.max_abs_error, "tolerance": tol}
     print(json.dumps(rep, indent=2))
@@ -181,8 +184,6 @@ def cmd_verify_state(args) -> int:
 def cmd_verify_block(args) -> int:
     tol = _tolerance(args, 1e-10)
     be, hamiltonian = args.request(args)
-    if be.width > VERIFY_MAX_WIDTH:
-        raise ResourceGuardError(f"width {be.width} over verify cap {VERIFY_MAX_WIDTH}")
     h = hamiltonian()
     if not h.terms:
         raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")
@@ -226,7 +227,7 @@ def cmd_counts(args) -> int:
 
 
 # A block request returns (encoding, a function building H): verify calls it only
-# after the width cap, and encode never does.
+# after the encoding is built, and encode never does.
 BLOCK = {"encode": cmd_encode_block, "verify": cmd_verify_block}
 STATE = {"encode": cmd_encode_state, "verify": cmd_verify_state}
 # model: (request, the flags it reads besides --spec, its command functions)

@@ -10,7 +10,18 @@ class DomainError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A size guard tripped (matrix dimension, simulator width)."""
+    """A size guard tripped: an array over the entry budget, or a 62-bit index."""
+
+
+# The one resource budget: 2**24 entries per array, 24 qubits or a 2^12 x 2^12 matrix.
+ENTRY_BUDGET_BITS = 24
+
+
+def check_entries(what: str, count: int, bits: int = 0) -> None:
+    """Refuse an array of count * 2**bits entries over the budget, before it is
+    allocated. bits is compared as an exponent, so an n of 10**20 costs nothing."""
+    if bits > ENTRY_BUDGET_BITS or count << bits > 1 << ENTRY_BUDGET_BITS:
+        raise ResourceGuardError(f"{what} is over the budget of 2^{ENTRY_BUDGET_BITS} entries")
 
 
 def json_int(v, what: str, error: type[Exception] = TypeError) -> int:

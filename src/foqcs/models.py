@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, json_int
+from .errors import DomainError, check_entries, json_int
 from .pauli import PauliSum, PauliTerm
 
 AXES = ("x", "y", "z")
@@ -126,7 +126,7 @@ class SpinGlassParams:
     def from_dict(cls, d: dict) -> "SpinGlassParams":
         n = json_int(d["n"], "n")
         g = np.asarray(d["g"], dtype=float)
-        J = np.zeros((3, n, n))
+        J = _zero_couplings(n)
         for a in range(3):
             rows = d["J"][a]
             if len(rows) != n - 1:
@@ -161,10 +161,16 @@ def random_heisenberg(n: int, rng: np.random.Generator) -> HeisenbergParams:
 def random_spin_glass(n: int, rng: np.random.Generator) -> SpinGlassParams:
     """g, then each axis's upper-triangle J row by row, from one stream."""
     g = _draw(rng, 3 * n).reshape(3, n)
-    J = np.zeros((3, n, n))
+    J = _zero_couplings(n)
     rows, cols = np.triu_indices(n, 1)
     J[:, rows, cols] = _draw(rng, 3 * rows.size).reshape(3, rows.size)
     return SpinGlassParams(n, g, J)
+
+
+def _zero_couplings(n: int) -> np.ndarray:
+    """The zero (3, n, n) coupling array, refused over the entry budget."""
+    check_entries(f"the 3 x {n} x {n} spin-glass couplings", 3 * n * n)
+    return np.zeros((3, n, n))
 
 
 def _draw(rng: np.random.Generator, count: int) -> np.ndarray:

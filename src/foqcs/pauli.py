@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError, json_int
+from .errors import DomainError, check_entries, json_int
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -25,7 +25,6 @@ PAULI_MATRICES = {
 CHECK_PAIRS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 COEFF_CUTOFF = 1e-15
-MATRIX_MAX_QUBITS = 12
 
 
 def pauli_to_checkpair(p: str) -> tuple[int, int]:
@@ -189,10 +188,7 @@ def _zx_matrix(n: int, i: int, j: int, scale: complex) -> np.ndarray:
 def hamiltonian_matrix(h: PauliSum) -> np.ndarray:
     """Exact dense 2^n x 2^n matrix of h. Each term has one nonzero per
     column (see _zx_columns), added in place, in term order."""
-    if h.n > MATRIX_MAX_QUBITS:
-        raise ResourceGuardError(
-            f"dense matrix limited to {MATRIX_MAX_QUBITS} qubits, got {h.n}"
-        )
+    check_entries(f"the dense 2^{h.n} x 2^{h.n} matrix", 1, 2 * h.n)
     m = np.zeros((2**h.n, 2**h.n), dtype=complex)
     cols = np.arange(2**h.n)
     for t in h.terms:

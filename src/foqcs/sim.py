@@ -24,6 +24,10 @@ Two drivers feed that kernel:
     the gate does not touch (found by one argsort), given to the kernel, and
     scattered back. A gate costs about the support size, not 2**width.
 
+errors.check_entries refuses, before it is allocated, each array the input
+sizes: a dense state, unitary or block, and a mixing gate's (2**k, groups)
+block, the only place a sparse support grows. Sparse indices stop at 62 bits.
+
 assert_state and extract_block run sparse. The paper's Dicke states and check-matrix SELECT
 keep a tiny support (a d1 state on n qubits has n nonzeros), so verify dicke
 costs about gates x support. PR acts on the ancillae alone and runs sparse
@@ -38,32 +42,18 @@ PL nor PL-dagger is built or run: <0_anc| PL-dagger = (conj v)-dagger = v^T.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import DIAGONAL_KINDS, KINDS, PERMUTATION_ROWS, Circuit, Gate
-from .errors import DomainError, ResourceGuardError
+from .errors import ENTRY_BUDGET_BITS, DomainError, ResourceGuardError, check_entries
 
-DEFAULT_MAX_WIDTH = 24
 # Sparse basis indices are int64; this many bits leave every shift in range.
 SPARSE_MAX_WIDTH = 62
 # After a mixing gate, a truncating sparse run drops every amplitude with
 # 0 < |amp| <= TRUNCATION and reports the 2-norm it dropped.
 TRUNCATION = 1e-14
-
-
-def max_width() -> int:
-    """Simulator width cap; override with the FOQCS_MAX_WIDTH env var."""
-    return int(os.environ.get("FOQCS_MAX_WIDTH", DEFAULT_MAX_WIDTH))
-
-
-def _check_sparse_width(width: int) -> None:
-    """The sparse paths' cap: max_width(), and never above SPARSE_MAX_WIDTH."""
-    cap = min(max_width(), SPARSE_MAX_WIDTH)
-    if width > cap:
-        raise ResourceGuardError(f"width {width} exceeds simulator cap {cap}")
 
 
 @dataclass
@@ -167,10 +157,7 @@ def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
 
 def run(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     """Apply all gates of `circuit` in place to `amps` (1-D or batched 2-D)."""
-    if circuit.width > max_width():
-        raise ResourceGuardError(
-            f"width {circuit.width} exceeds simulator cap {max_width()}"
-        )
+    check_entries(f"the 2^{circuit.width} amplitudes", 1, circuit.width)
     if amps.shape[0] != 1 << circuit.width:
         raise DomainError("state dimension does not match circuit width")
     if not amps.flags.c_contiguous:
@@ -239,7 +226,9 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
             first = np.empty(rest.size, dtype=bool)  # first index of its group
             first[:1] = True
             np.not_equal(rest[1:], rest[:-1], out=first[1:])
-            blk = np.zeros((spread.size, int(first.sum())), dtype=complex)
+            groups = int(first.sum())
+            check_entries(f"the {spread.size} x {groups} block of {g.kind}", groups, len(qs))
+            blk = np.zeros((spread.size, groups), dtype=complex)
             blk[local[order], np.cumsum(first) - 1] = amps[order]
             _apply_unitary(blk, u, tuple(range(len(qs))), len(qs))
             r, c = np.nonzero(blk)
@@ -256,10 +245,7 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
 
 def simulate(circuit: Circuit, init: StateVector | None = None) -> StateVector:
     """Exact statevector after the circuit; init defaults to |0...0>."""
-    if circuit.width > max_width():
-        raise ResourceGuardError(
-            f"width {circuit.width} exceeds simulator cap {max_width()}"
-        )
+    check_entries(f"the 2^{circuit.width} amplitudes", 1, circuit.width)
     if init is None:
         init = StateVector.zero(circuit.width)
     if init.width != circuit.width:
@@ -271,8 +257,7 @@ def simulate(circuit: Circuit, init: StateVector | None = None) -> StateVector:
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2^w x 2^w unitary (batched over all basis inputs); small widths only."""
-    if circuit.width > 12:
-        raise ResourceGuardError("circuit_unitary limited to width 12")
+    check_entries(f"the 2^{circuit.width} x 2^{circuit.width} unitary", 1, 2 * circuit.width)
     dim = 1 << circuit.width
     amps = np.eye(dim, dtype=complex)
     run(circuit, amps)
@@ -309,21 +294,21 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     <0_anc| PL-dagger is v^T: v itself serves as both ket and bra. SELECT then
     runs sparse, untruncated, on many columns per pass: column b starts as
     v x |b>, with b copied into n extra bits above the top qubit that no gate
-    reads, so the columns never mix. A pass starts from at most 2**sys_start
-    entries (all columns when v is sparse, one when v is dense), never from
-    nnz(v) * 2**n ~ 2**width. Each output entry whose ancilla part is in the
-    support of v adds v_anc times its amplitude to block[row, b]; any other
-    entry meets a zero of the bra. The per-input post-selection probability
+    reads, so the columns never mix. A pass starts from at most
+    2**min(sys_start, ENTRY_BUDGET_BITS) entries (all columns when v is
+    sparse, one when v is dense), never from nnz(v) * 2**n ~ 2**width. Each
+    output entry whose ancilla part is in the support of v adds v_anc times
+    its amplitude to block[row, b]; any other entry meets a zero of the bra. The per-input post-selection probability
     is the squared norm of column b.
     """
-    _check_sparse_width(be.width)
     sys_start, n = be.layout["system"]
     if be.width + n > SPARSE_MAX_WIDTH:
         raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
                                  f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
+    check_entries(f"the 2^{n} x 2^{n} block", 1, 2 * n)
     v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=np.int64),
                                   np.ones(1, dtype=complex), truncate=True)
-    dim, step = 1 << n, max(1, (1 << sys_start) // v_idx.size)
+    dim, step = 1 << n, max(1, (1 << min(sys_start, ENTRY_BUDGET_BITS)) // v_idx.size)
     block = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, dim, step):
         b = np.arange(lo, min(lo + step, dim), dtype=np.int64)[:, None]
@@ -359,7 +344,8 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
     index outside both that output support and `expected` has diff exactly 0,
     so only the union of the two index sets is compared.
     """
-    _check_sparse_width(circuit.width)
+    if circuit.width > SPARSE_MAX_WIDTH:
+        raise ResourceGuardError(f"width {circuit.width} exceeds simulator cap {SPARSE_MAX_WIDTH}")
     dim = 1 << circuit.width
     if init is None:
         idx, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)

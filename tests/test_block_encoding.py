@@ -204,8 +204,8 @@ def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, c
                  ["verify", "spin-glass", "--n", "2", "--seed", "1"],
                  ["verify", "generic", "--spec", str(spec)]):
         assert cli.main(argv) == 0, argv
-    # Width 6 + 3 * 6 = 24 is over the verify cap, read off the encoding.
-    assert cli.main(["verify", "heisenberg", "--n", "6"]) == 3
+    # n = 13's dense reference is over the entry budget, refused before a build.
+    assert cli.main(["verify", "heisenberg", "--n", "13"]) == 3
     # encode does export the flat circuit, so the patch is live.
     with pytest.raises(AssertionError):
         cli.main(["encode", "heisenberg", "--n", "2", "-o", str(tmp_path / "enc")])

@@ -102,8 +102,8 @@ def test_verify_generic_empty_spec_path_is_an_input_error(capsys):
 
 
 def test_verify_width_guard():
-    # heisenberg n=6 needs 24 qubits, over the verify cap of 21
-    assert main(["verify", "heisenberg", "--n", "6"]) == 3
+    # heisenberg n=13's dense 2^13 x 2^13 reference is over the entry budget
+    assert main(["verify", "heisenberg", "--n", "13"]) == 3
 
 
 def test_counts_heisenberg_csv(capsys):
@@ -442,12 +442,36 @@ def test_verify_dicke_unbalanced_flag(capsys):
     assert code == 0
 
 
-def test_verify_heisenberg_at_width_cap(capsys):
-    # n=5 is 6 + 3n = 21 qubits, the widest block `verify` accepts
+def test_verify_heisenberg_within_the_entry_budget(capsys):
+    # n=5 is 6 + 3n = 21 qubits. The budget admits up to n=12, whose dense
+    # reference alone is 2^24 entries; test_verify_wide_encodings goes to n=10.
     code = main(["verify", "heisenberg", "--n", "5", "--seed", "3"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["ok"] and out["max_abs_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--n", "10", "--seed", "1"],
+    ["spin-glass", "--n", "8", "--seed", "1"],
+    ["dicke", "--kind", "d1", "--n", "62"],
+    ["dicke", "--kind", "d1d", "--n", "31"],
+], ids=["heisenberg-10", "spin-glass-8", "dicke-d1-62", "dicke-d1d-31"])
+def test_verify_wide_encodings(capsys, argv):
+    # Widths 36, 48, 62 and 62: the sparse paths keep every array far within
+    # the entry budget, and the 2^n x 2^n reference is at most 2^20 entries.
+    assert main(["verify", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["max_abs_error"] <= 1e-14
+
+
+def test_verify_reads_no_width_variable():
+    argv = [sys.executable, "-m", "foqcs", "verify", "heisenberg", "--n", "3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(foqcs.cli.__file__).parents[1])}
+    runs = [subprocess.run(argv, capture_output=True, env=e, timeout=60)
+            for e in (env, {**env, "FOQCS_MAX_WIDTH": "4"})]
+    assert runs[0].returncode == 0
+    assert [(r.returncode, r.stdout) for r in runs[1:]] == [(0, runs[0].stdout)]
 
 
 def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monkeypatch):
@@ -467,8 +491,8 @@ def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monke
         for name in ("circuit.qasm", "circuit.json", "meta.json"):
             assert ((tmp_path / f"out{i}" / name).read_bytes()
                     == (tmp_path / f"ref{i}" / name).read_bytes())
-    # n=6 is 24 qubits, over the verify cap
-    assert main(["verify", "heisenberg", "--n", "6", "--seed", "1"]) == 3
+    # n=13's dense reference is over the entry budget
+    assert main(["verify", "heisenberg", "--n", "13", "--seed", "1"]) == 3
 
 
 def test_verify_dicke_nan_amplitude(capsys):
@@ -832,10 +856,11 @@ def test_counts_range_over_the_sweep_limit_is_an_input_error(monkeypatch, capsys
         foqcs.cli._parse_range(f"2:{limit + 2}")
 
 
-# Every model's width is at least n, so verify refuses an n over its cap
-# before a model is drawn: at 1e5 the spin-glass J alone would take 224 GiB,
-# and at 1e20 the Heisenberg build would not end. counts and encode have no
-# cap, and an n too large for the machine is an input error.
+# verify refuses a block model whose dense 2^n x 2^n reference is over the
+# entry budget, and a Dicke n over the 62 index bits, before a model is drawn:
+# at 1e5 the spin-glass J alone would take 224 GiB, and at 1e20 the Heisenberg
+# build would not end. Every command refuses spin-glass couplings over the
+# budget; otherwise an n too large for the machine is an input error.
 HUGE_N = str(10**20)
 
 
@@ -846,23 +871,31 @@ HUGE_N = str(10**20)
     (["counts", "heisenberg", "--n", f"2:{HUGE_N}"], 1),
     (["counts", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
     (["encode", "dicke", "--kind", "d1", "--n", HUGE_N, "-o", "out"], 1),
+    (["counts", "spin-glass", "--n", "100000"], 3),
+    (["encode", "spin-glass", "--n", "100000", "-o", "out"], 3),
+    (["encode", "spin-glass", "--spec", "spec.json", "-o", "out"], 3),
 ], ids=["verify-spin-glass", "verify-heisenberg", "verify-dicke", "counts-heisenberg",
-        "counts-dicke", "encode-dicke"])
+        "counts-dicke", "encode-dicke", "counts-spin-glass", "encode-spin-glass",
+        "encode-spin-glass-spec"])
 def test_huge_n_exits_with_its_code_before_building(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 100000, "g": [], "J": []}))
     assert main(argv) == code
     assert capsys.readouterr().out == ""
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("model, spec", [
-    ("spin-glass", {"n": 100000, "g": [], "J": []}),
-    ("heisenberg", {"n": 10**20, "gx": 1.0}),
-    ("generic", {"n": 22, "terms": [{"coeff": [1.0, 0.0], "ops": "X" * 22}]}),
-    ("dicke", {"kind": "d1", "n": 22}),
+BUDGET = "over the budget of 2^24 entries"
+
+
+@pytest.mark.parametrize("model, spec, reason", [
+    ("spin-glass", {"n": 100000, "g": [], "J": []}, BUDGET),
+    ("heisenberg", {"n": 10**20, "gx": 1.0}, BUDGET),
+    ("generic", {"n": 22, "terms": [{"coeff": [1.0, 0.0], "ops": "X" * 22}]}, BUDGET),
+    ("dicke", {"kind": "d1", "n": 63}, "over the sparse simulator's 62-qubit cap"),
 ], ids=["spin-glass", "heisenberg", "generic", "dicke"])
 def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
-        tmp_path, monkeypatch, capsys, model, spec):
+        tmp_path, monkeypatch, capsys, model, spec, reason):
     def refuse(d):
         raise AssertionError("the model was read")
 
@@ -874,7 +907,7 @@ def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
     assert main(["verify", model, "--spec", str(f)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "over verify cap" in captured.err
+    assert reason in captured.err
 
 
 def test_python_m_foqcs_runs_the_cli(capsys):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from foqcs.errors import DomainError
+from foqcs.errors import DomainError, ResourceGuardError, check_entries
 from foqcs.models import (
     HeisenbergParams,
     SpinGlassParams,
@@ -137,3 +139,19 @@ def test_random_models_match_one_draw_at_a_time(n):
         h = random_heisenberg(n, rng)
         assert [h.gx, h.gy, h.gz, h.jx, h.jy, h.jz] == _draw_one_at_a_time(ref, 6).tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_spin_glass_couplings_over_the_entry_budget_are_refused():
+    # 3 n^2 couplings: 3 * 2364^2 entries fit the 2^24 budget, 3 * 2365^2 do not,
+    # and the refusal comes before the array is allocated.
+    check_entries("J", 3 * 2364**2)
+    for build in (lambda: random_spin_glass(2365, np.random.default_rng(0)),
+                  lambda: SpinGlassParams.from_dict({"n": 2365, "g": [], "J": []})):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="3 x 2365 x 2365 spin-glass couplings"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # J alone would be 134 MB

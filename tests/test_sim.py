@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from foqcs import errors, sim
 from foqcs.circuit import (
     GATE_KINDS,
     BlockEncoding,
@@ -31,7 +32,6 @@ from foqcs.sim import (
     assert_state,
     extract_block,
     gate_unitary,
-    max_width,
     run,
     simulate,
 )
@@ -192,20 +192,14 @@ def test_assert_state():
     assert not r.ok and r.mismatches
 
 
-def test_width_guard(monkeypatch):
-    monkeypatch.setenv("FOQCS_MAX_WIDTH", "4")
-    assert max_width() == 4
-    with pytest.raises(ResourceGuardError):
-        simulate(Circuit(5, (x(0),)))
-    monkeypatch.delenv("FOQCS_MAX_WIDTH")
+def test_width_guard():
     with pytest.raises(ResourceGuardError):
         simulate(Circuit(25, (x(0),)))
 
 
-def test_sparse_index_width_guard(monkeypatch):
-    # Sparse indices are int64, so the sparse paths stop at 62 qubits even when
-    # FOQCS_MAX_WIDTH allows more, and never return a wrapped index.
-    monkeypatch.setenv("FOQCS_MAX_WIDTH", "80")
+def test_sparse_index_width_guard():
+    # Sparse indices are int64, so the sparse paths stop at 62 qubits, whatever
+    # the entry budget allows, and never return a wrapped index.
     assert SPARSE_MAX_WIDTH == 62
     r = assert_state(Circuit(62, (x(61),)), {1 << 61: 1.0})
     assert r.ok and r.max_abs_error == 0.0
@@ -216,6 +210,32 @@ def test_sparse_index_width_guard(monkeypatch):
         extract_block(BlockEncoding(wide, 1.0))
     with pytest.raises(ResourceGuardError):
         _run_sparse(wide.gates, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+
+def test_a_gate_over_the_entry_budget_is_refused_before_its_block(monkeypatch):
+    # Each h doubles the support of |0>: at a budget of 2^10 entries, gate 10's
+    # 2 x 2^10 block is the first over it, refused before it is allocated.
+    monkeypatch.setattr(errors, "ENTRY_BUDGET_BITS", 10)
+    applied, shapes = [], []
+    apply, zeros = sim._apply_unitary, np.zeros
+
+    def counted_apply(amps, *args):
+        applied.append(amps.shape)
+        apply(amps, *args)
+
+    def counted_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_apply_unitary", counted_apply)
+    monkeypatch.setattr(np, "zeros", counted_zeros)
+    with pytest.raises(ResourceGuardError, match="the 2 x 1024 block of h"):
+        assert_state(Circuit(12, tuple(h(q) for q in range(12))), {0: 2 ** -6})
+    assert applied == [(2, 1 << q) for q in range(10)]
+    assert max(int(np.prod(s)) for s in shapes) == 1 << 10
+    monkeypatch.undo()
+    assert assert_state(Circuit(12, tuple(h(q) for q in range(12))),
+                        dict.fromkeys(range(1 << 12), 2 ** -6)).ok
 
 
 def _run_sparse_by_blocks(gates, idx, amps):
@@ -296,10 +316,9 @@ def test_sparse_driver_takes_unsorted_input_and_sorts_its_output():
         assert got[1].tobytes() == want[1].tobytes(), trial
 
 
-def test_extract_block_column_bits_fit_in_int64(monkeypatch):
+def test_extract_block_column_bits_fit_in_int64():
     # extract_block holds each column in n index bits above the top qubit, so
     # width + n must stay within the 62 bits as well.
-    monkeypatch.setenv("FOQCS_MAX_WIDTH", "80")
     with pytest.raises(ResourceGuardError, match="width 61 plus 2 column bits"):
         extract_block(BlockEncoding(Circuit(61, (), {"system": (59, 2)}), 1.0))
 
@@ -380,7 +399,7 @@ def test_sparse_pr_is_bit_identical_to_the_dense_run():
     # Untruncated, extract_block's v = PR|0> is the old dense run's, support
     # and amplitude bytes; so is the truncated v whenever nothing is dropped,
     # which holds for every Heisenberg encoding. Spin glass n = 4 has 20
-    # ancillae, the widest dense run that fits under max_width().
+    # ancillae, the widest of these dense runs within the entry budget.
     cases = [*_spin_encodings("heisenberg", range(2, 7)), *_spin_encodings("spin-glass", (2, 3, 4))]
     for case, be in cases:
         a = be.layout["system"][0]
@@ -464,15 +483,15 @@ def test_block_passes_only_within_the_truncation_widened_tolerance():
 
 
 def test_extract_block_of_the_widest_spin_glass_stays_small():
-    # Spin glass n = 4: 20 ancillae, width 24 = max_width(). The old dense v
-    # alone took 16 MiB.
+    # Spin glass n = 4: 20 ancillae, width 24. The old dense v alone took
+    # 16 MiB.
     from foqcs.encoder import spin_glass_encoding
     from foqcs.models import random_spin_glass, spin_glass_hamiltonian
     from foqcs.pauli import hamiltonian_matrix, one_norm
 
     p = random_spin_glass(4, np.random.default_rng(24))
     be = spin_glass_encoding(p)
-    assert be.width == max_width() == 24
+    assert be.width == 24
     h_ = spin_glass_hamiltonian(p)
     ref = hamiltonian_matrix(h_) / one_norm(h_)
     extract_block(be, ref)  # the first call's lazy imports are not the pass's memory
