@@ -11,6 +11,7 @@ from .circuit import (
     control,
     count,
     dagger,
+    export_lowered,
     export_qasm,
     lower,
     parse_qasm,

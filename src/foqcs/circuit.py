@@ -12,12 +12,19 @@ it at import. A new kind is one row plus its constructor, which builds the
 Gate tuple directly and checks what its signature leaves open (distinct
 operands, a finite angle).
 
-The exporters lower, export_qasm and Circuit.to_json compute each distinct
-gate's output once and reuse it for every repeat (_per_gate). A gate equals
-and hashes as its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but
-these print differently; the memo key therefore holds the angle's type and
-the sign of a zero angle as well, and the output is byte for byte that of
-formatting every gate.
+Every exporter formats through one function (_formatter), on three levels.
+Per kind, a text skeleton is read once per process off the rule that the
+exporter applies: the gate as it is, its lowering or its lowered adjoint
+(_skeletons). Per distinct (kind, angle), the rule runs once on placeholder
+operands and its angles are formatted into the skeleton. Per distinct gate,
+one str.format fills in the operands. export_qasm and Circuit.to_json format
+with lowering off. export_lowered writes the lowered QASM and JSON of a
+circuit, or of an encoding's PR, SELECT and PR-transpose, in one walk,
+without building the flat or the lowered circuit. A gate equals and hashes as
+its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but these print
+differently; every memo key (_per_distinct_gate) therefore holds the angle's
+type and the sign of a zero angle as well, and the output is byte for byte
+that of formatting every gate.
 
 Qubit indices are little-endian (qubit q = bit q of a basis index). A
 unitary's local bit i is the gate's operand qubits[i], controls first.
@@ -28,8 +35,9 @@ import json
 import math
 import re
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import NamedTuple, NoReturn
 
@@ -333,33 +341,24 @@ def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
     return None
 
 
-def _per_gate(fn: Callable[[Gate], object], gates) -> list:
-    """[fn(g) for g in gates], calling fn once per distinct gate.
+def _per_distinct_gate(fn: Callable[[Gate], object]) -> Callable[[Gate], object]:
+    """fn, called once per distinct gate; a repeat gets the first call's result.
 
     Equal gates can print differently (0.0 == -0.0 and 1 == 1.0), so the key
     adds the angle's type and its sign, which tells 0.0 from -0.0.
     """
     memo: dict = {}
-    out = []
-    for g in gates:
+    copysign = math.copysign
+
+    def once(g: Gate):
         a = g.angle
-        key = g if a is None else (g, type(a), math.copysign(1.0, a))
+        key = g if a is None else (g, type(a), copysign(1.0, a))
         r = memo.get(key, memo)
         if r is memo:
             r = memo[key] = fn(g)
-        out.append(r)
-    return out
+        return r
 
-
-def _gate_json(g: Gate) -> str:
-    """g as json.dumps writes {"kind", "qubits", "angle"?}. Kind names need no
-    escaping, a Circuit's qubits are ints, and json writes a float, a float
-    subclass such as np.float64 too, with float.__repr__."""
-    head = f'{{"kind": "{g.kind}", "qubits": [{", ".join(map(str, g.qubits))}]'
-    a = g.angle
-    if a is None:
-        return head + "}"
-    return f'{head}, "angle": {float.__repr__(a) if isinstance(a, float) else json.dumps(a)}}}'
+    return once
 
 
 @dataclass(frozen=True)
@@ -397,10 +396,9 @@ class Circuit:
     def to_json(self) -> str:
         """{"width", "layout": {name: [start, size]}, "gates": [{"kind",
         "qubits", "angle"?}]}, with json.dumps' separators; each distinct
-        gate is formatted once."""
-        gates = ", ".join(_per_gate(_gate_json, self.gates))
-        return (f'{{"width": {json.dumps(self.width)}, "layout": {json.dumps(self.layout)}, '
-                f'"gates": [{gates}]}}')
+        gate is formatted once (_formatter)."""
+        text = _formatter(None, _itself)
+        return _json_text(self, (text(g)[1] for g in self.gates))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
@@ -589,21 +587,34 @@ def lower(c: Circuit) -> Circuit:
     """
     out = object.__new__(Circuit)
     for name, value in (("width", c.width), ("layout", c.layout),
-                        ("gates", tuple(chain.from_iterable(_per_gate(_lower_gate, c.gates))))):
+                        ("gates", tuple(chain.from_iterable(
+                            map(_per_distinct_gate(_lower_gate), c.gates))))):
         object.__setattr__(out, name, value)
     return out
 
 
-def _lowered_cost(kind: str) -> tuple[int, int]:
-    """(two-qubit, single-qubit) gates in the lowering of one gate of kind.
+def _placeholder(kind: str, angle) -> Gate:
+    """A gate of kind at angle on the operands 0..arity-1, its operand slots."""
+    return _new(Gate, (kind, tuple(range(KINDS[kind].arity)), angle))
 
-    Every lowering has a length that does not depend on the angle, so one
-    exemplar gate per kind gives the exact cost of every gate of that kind.
+
+def _shape(rule: Callable[[Gate], list[Gate]], kind: str) -> tuple[tuple[str, tuple], ...]:
+    """(kind, operand slots) of each gate that rule (a lowering, say) makes of
+    one gate of kind.
+
+    Every rule's length, kinds and slots (which of the gate's operands each of
+    its gates reads) depend on neither the angle nor the operands, so one
+    exemplar gate per kind gives them for every gate of that kind.
     """
-    row = KINDS[kind]
-    lowered = _lower_gate(Gate(kind, tuple(range(row.arity)), 1.0 if row.angled else None))
-    two = sum(1 for g in lowered if g.kind in _RAW_TWO_QUBIT)
-    return two, len(lowered) - two
+    exemplar = _placeholder(kind, 1.0 if KINDS[kind].angled else None)
+    return tuple((g.kind, g.qubits) for g in rule(exemplar))
+
+
+def _lowered_cost(kind: str) -> tuple[int, int]:
+    """(two-qubit, single-qubit) gates in the lowering of one gate of kind."""
+    shape = _shape(_lower_gate, kind)
+    two = sum(1 for low_kind, _ in shape if low_kind in _RAW_TWO_QUBIT)
+    return two, len(shape) - two
 
 
 # kind -> (two_qubit, single_qubit) gates once lowered, read off the lowering rules.
@@ -674,7 +685,7 @@ def dagger(c: Circuit) -> Circuit:
 _QASM_TO_KIND = {row.qasm: kind for kind, row in KINDS.items() if row.qasm is not None}
 
 
-def _qasm_registers(c: Circuit) -> list[tuple[str, int, int]]:
+def _qasm_registers(c: Circuit | BlockEncoding) -> list[tuple[str, int, int]]:
     if not c.layout:
         return [("q", 0, c.width)]
     regs = sorted(((start, size, name) for name, (start, size) in c.layout.items()))
@@ -690,23 +701,119 @@ def _qasm_registers(c: Circuit) -> list[tuple[str, int, int]]:
     return out
 
 
+def _qasm_head(c: Circuit | BlockEncoding) -> tuple[list[str], list[str]]:
+    """The QASM header lines (one qreg per register) and ref, where ref[q] names
+    qubit q: the registers tile [0, width) in order."""
+    regs = _qasm_registers(c)
+    head = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    head += [f"qreg {name}[{size}];" for name, _, size in regs]
+    return head, [f"{name}[{i}]" for name, _, size in regs for i in range(size)]
+
+
+def _json_text(c: Circuit | BlockEncoding, gates) -> str:
+    return (f'{{"width": {json.dumps(c.width)}, "layout": {json.dumps(c.layout)}, '
+            f'"gates": [{", ".join(gates)}]}}')
+
+
+def _skeleton(shape) -> tuple[str | None, str]:
+    """The QASM lines and the JSON objects of the gates in shape, with %s for
+    each angle and {i} for operand slot i, so that, once the angles are in,
+    they are str.format templates of the operands. The QASM is None if a kind
+    in shape has no OpenQASM name."""
+    lines, objs = [], []
+    for kind, slots in shape:
+        row = KINDS[kind]
+        args = [f"{{{i}}}" for i in slots]
+        lines.append(row.qasm and f"{row.qasm}{'(%s)' if row.angled else ''} {','.join(args)};")
+        angle = ', "angle": %s' if row.angled else ""
+        objs.append(f'{{{{"kind": "{kind}", "qubits": [{", ".join(args)}]{angle}}}}}')
+    return None if None in lines else "\n".join(lines), ", ".join(objs)
+
+
+def _itself(g: Gate) -> list[Gate]:
+    return [g]
+
+
+def _lowered_adjoint(g: Gate) -> list[Gate]:
+    """The lowering of g's adjoint, the transpose of a gate of a kind not in
+    DIAGONAL_KINDS (transpose_gates)."""
+    return [low for t in dagger_gates([g]) for low in _lower_gate(t)]
+
+
+@cache
+def _skeletons(rule: Callable[[Gate], list[Gate]], kind: str) -> tuple[str | None, str]:
+    """The skeletons of the gates that rule makes of one gate of kind: the gate
+    as it is, its lowering or the lowering of its adjoint. Read off the rule
+    once per process, on first use, so that a run that exports nothing never
+    builds them."""
+    return _skeleton(_shape(rule, kind))
+
+
+def _templates(skeleton: tuple[str | None, str], gates: list[Gate]) -> tuple[str | None, str]:
+    """skeleton's QASM and JSON with the angles of gates in, formatted as
+    OpenQASM (.17g) and as json.dumps writes them (a float, a float subclass
+    such as np.float64 too, with float.__repr__)."""
+    qasm, objs = skeleton
+    angles = [g.angle for g in gates if g.angle is not None]
+    if not angles:
+        return qasm, objs
+    return (None if qasm is None else qasm % tuple([format(a, ".17g") for a in angles]),
+            objs % tuple([float.__repr__(a) if isinstance(a, float) else json.dumps(a)
+                          for a in angles]))
+
+
+def _formatter(ref: list[str] | None, rule: Callable[[Gate], list[Gate]]
+               ) -> Callable[[Gate], tuple]:
+    """text(g), the (QASM, JSON) text of the gates that rule makes of g: g as it
+    is (_itself), its lowering (_lower_gate) or its lowered adjoint.
+
+    Every exporter formats through it. The templates are made once per
+    distinct (kind, angle), by the rule run on the placeholder operands; each
+    distinct gate then costs one str.format per text, with its operands'
+    names: ref[q] in QASM, q in JSON. Without ref the QASM is None (to_json
+    of any circuit).
+    """
+    templates = _per_distinct_gate(lambda p: _templates(_skeletons(rule, p.kind), rule(p)))
+
+    @_per_distinct_gate
+    def text(g: Gate) -> tuple[str | None, str]:
+        qasm, objs = templates(_placeholder(g.kind, g.angle))
+        if ref is None:
+            return None, objs.format(*g.qubits)
+        if qasm is None:
+            raise DomainError(f"cannot export unlowered gate {g.kind}; call lower() first")
+        return qasm.format(*map(ref.__getitem__, g.qubits)), objs.format(*g.qubits)
+
+    return text
+
+
 def export_qasm(c: Circuit) -> str:
     """Serialize a lowered circuit as OpenQASM 2.0 (one qreg per register)."""
-    regs = _qasm_registers(c)
-    # The registers tile [0, width) in order, so ref[q] names qubit q.
-    ref = [f"{name}[{i}]" for name, _, size in regs for i in range(size)]
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    lines += [f"qreg {name}[{size}];" for name, _, size in regs]
+    head, ref = _qasm_head(c)
+    text = _formatter(ref, _itself)
+    return "\n".join(chain(head, (text(g)[0] for g in c.gates))) + "\n"
 
-    def line(g: Gate) -> str:
-        name = KINDS[g.kind].qasm
-        if name is None:
-            raise DomainError(f"cannot export unlowered gate {g.kind}; call lower() first")
-        argl = ",".join([ref[q] for q in g.qubits])
-        return f"{name} {argl};" if g.angle is None else f"{name}({g.angle:.17g}) {argl};"
 
-    lines += _per_gate(line, c.gates)
-    return "\n".join(lines) + "\n"
+def export_lowered(c: Circuit | BlockEncoding) -> Iterator[str]:
+    """Yield export_qasm(lower(c)), then lower(c).to_json(); an encoding is
+    exported as its flat circuit PR, SELECT, PR-transpose.
+
+    Neither the flat nor the lowered circuit is built: one walk over PR and
+    SELECT formats each gate, lowered, through _formatter. PR's transpose is
+    PR reversed with each gate's transpose in place (transpose_gates): a
+    diagonal gate is its own, so its text is reused, and any other gate's is
+    its adjoint, formatted lowered through the same function. The JSON is
+    joined only after the QASM is taken, so a caller can write the QASM and
+    drop it first.
+    """
+    prep, mid = (c.prep, c.select.gates) if isinstance(c, BlockEncoding) else ((), c.gates)
+    head, ref = _qasm_head(c)
+    text, adjoint = _formatter(ref, _lower_gate), _formatter(ref, _lowered_adjoint)
+    pr = [*map(text, prep)]
+    texts = [*pr, *map(text, mid), *(t if g.kind in DIAGONAL_KINDS else adjoint(g)
+                                     for g, t in zip(reversed(prep), reversed(pr)))]
+    yield "\n".join([*head, *[q for q, _ in texts]]) + "\n"
+    yield _json_text(c, [j for _, j in texts])
 
 
 _QASM_GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.*);$")

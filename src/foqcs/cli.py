@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from .circuit import export_qasm, lower
+from .circuit import export_lowered
 from .dicke import AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError, ResourceGuardError, check_entries, json_int
@@ -28,7 +28,7 @@ from .models import (
     spin_glass_hamiltonian,
 )
 from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
-from .sim import SPARSE_MAX_WIDTH, assert_state, extract_block
+from .sim import SPARSE_MAX_WIDTH, assert_state, check_block_width, extract_block
 
 SWEEP_MAX_LEN = 10_000  # values of n in one counts range
 # --spec holds the whole model, so it excludes these flags. They default to None
@@ -138,24 +138,25 @@ def _dicke(args) -> tuple:
     return spec.build(n, k, a), dicke_state_map(base, n, k, a)
 
 
-def _export(out: str, circ, meta: dict) -> int:
+def _export(out: str, c, meta: dict) -> int:
+    """Write c lowered as circuit.qasm and circuit.json, and meta as meta.json;
+    the QASM text is dropped before the JSON text is joined."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    lowered = lower(circ)
-    (out / "circuit.qasm").write_text(export_qasm(lowered))
+    texts = export_lowered(c)
+    (out / "circuit.qasm").write_text(next(texts))
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (out / "circuit.json").write_text(lowered.to_json() + "\n")
-    _log(f"wrote {out}/circuit.qasm, circuit.json, meta.json (width {circ.width})")
+    (out / "circuit.json").write_text(next(texts) + "\n")
+    _log(f"wrote {out}/circuit.qasm, circuit.json, meta.json (width {c.width})")
     return 0
 
 
 def cmd_encode_block(args) -> int:
-    """Export the flat circuit PR, SELECT, PL-dagger."""
+    """Export the flat circuit PR, SELECT, PL-dagger, read off PR and SELECT."""
     be, _ = args.request(args)
-    circ, meta = be.circuit, {"normalization": be.normalization, "layout": be.layout,
-                              "postselect": list(be.postselect), "width": be.width}
-    del be  # the encoding's own parts go before the circuit is lowered
-    return _export(args.out, circ, meta)
+    meta = {"normalization": be.normalization, "layout": be.layout,
+            "postselect": list(be.postselect), "width": be.width}
+    return _export(args.out, be, meta)
 
 
 def cmd_encode_state(args) -> int:
@@ -184,10 +185,12 @@ def cmd_verify_state(args) -> int:
 def cmd_verify_block(args) -> int:
     tol = _tolerance(args, 1e-10)
     be, hamiltonian = args.request(args)
+    check_block_width(be)  # extract_block's own first check, before H is built
     h = hamiltonian()
     if not h.terms:
         raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")
-    reference = hamiltonian_matrix(h) / one_norm(h)
+    reference = hamiltonian_matrix(h)
+    reference /= one_norm(h)
     rep = extract_block(be, reference)
     ok = rep.within(tol)
     out = {"ok": ok, "max_abs_error": rep.max_abs_error,

@@ -171,6 +171,14 @@ def _run_gates(gates, amps: np.ndarray, width: int) -> np.ndarray:
     return amps
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The mask of the first entry of each run of equal entries in sorted a."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
                 truncate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps, delta).
@@ -223,9 +231,7 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
             rest = idx & ~spread[-1]
             order = np.argsort(rest)
             rest = rest[order]
-            first = np.empty(rest.size, dtype=bool)  # first index of its group
-            first[:1] = True
-            np.not_equal(rest[1:], rest[:-1], out=first[1:])
+            first = _run_starts(rest)  # first index of its group
             groups = int(first.sum())
             check_entries(f"the {spread.size} x {groups} block of {g.kind}", groups, len(qs))
             blk = np.zeros((spread.size, groups), dtype=complex)
@@ -285,6 +291,15 @@ class BlockReport:
         return bool(self.max_abs_error + 2 * d + d * d <= tol)
 
 
+def check_block_width(be) -> None:
+    """Refuse an encoding that extract_block cannot index: its width plus the n
+    column bits held above it must fit in SPARSE_MAX_WIDTH bits."""
+    n = be.layout["system"][1]
+    if be.width + n > SPARSE_MAX_WIDTH:
+        raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
+                                 f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
+
+
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register.
 
@@ -301,10 +316,8 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     its amplitude to block[row, b]; any other entry meets a zero of the bra. The per-input post-selection probability
     is the squared norm of column b.
     """
+    check_block_width(be)
     sys_start, n = be.layout["system"]
-    if be.width + n > SPARSE_MAX_WIDTH:
-        raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
-                                 f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
     check_entries(f"the 2^{n} x 2^{n} block", 1, 2 * n)
     v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=np.int64),
                                   np.ones(1, dtype=complex), truncate=True)
@@ -362,7 +375,10 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
             raise DomainError(f"expected index {i} out of range")
     exp_idx = np.fromiter(expected, dtype=np.int64, count=len(expected))
     exp_amps = np.fromiter(expected.values(), dtype=complex, count=len(expected))
-    union = np.union1d(idx, exp_idx)
+    # the sorted union, as np.union1d gives it; np.unique imports numpy.ma
+    union = np.concatenate((idx, exp_idx))
+    union.sort()
+    union = union[_run_starts(union)]
     out = np.zeros(union.size, dtype=complex)
     out[np.searchsorted(union, idx)] = amps
     ref = np.zeros(union.size, dtype=complex)

@@ -20,6 +20,8 @@ from foqcs.circuit import (
     cnot,
     count,
     dagger_gates,
+    export_lowered,
+    export_qasm,
     gamma,
     h,
     lower,
@@ -128,6 +130,37 @@ def test_flat_circuit_is_prep_select_then_unprep_adjoint():
     assert c.gates == be.prep + be.select.gates + tuple(transpose_gates(be.prep))
 
 
+def test_export_lowered_of_every_encoding_equals_the_export_of_its_lowered_flat_circuit():
+    # generic_foqcs's and standard_lcu's PRs hold ry and cnot, and the paper
+    # encoders' gamma, cnot, toffoli and x: non-diagonal kinds, exported
+    # through their adjoints.
+    for be in _encodings(np.random.default_rng(605)):
+        low = lower(be.circuit)
+        assert list(export_lowered(be)) == [export_qasm(low), low.to_json()]
+
+
+def test_encode_builds_neither_the_flat_nor_the_lowered_circuit(monkeypatch, tmp_path):
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({"n": 2, "terms": [{"coeff": [0.5, 0], "ops": "XZ"},
+                                                  {"coeff": [-0.3, 0], "ops": "YY"}]}))
+    commands = (["heisenberg", "--n", "3", "--seed", "1"], ["spin-glass", "--n", "2"],
+                ["generic", "--spec", str(spec)],
+                ["dicke", "--kind", "d2kd", "--n", "4", "--k", "1"])
+    for i, argv in enumerate(commands):
+        assert cli.main(["encode", *argv, "-o", str(tmp_path / f"ref{i}")]) == 0
+
+    def boom(*args):
+        raise AssertionError("the flat or the lowered circuit was built")
+
+    monkeypatch.setattr(circuit_mod, "lower", boom)
+    monkeypatch.setattr(BlockEncoding, "circuit", property(boom))
+    for i, argv in enumerate(commands):
+        assert cli.main(["encode", *argv, "-o", str(tmp_path / f"out{i}")]) == 0
+        for name in ("circuit.qasm", "circuit.json", "meta.json"):
+            assert ((tmp_path / f"out{i}" / name).read_bytes()
+                    == (tmp_path / f"ref{i}" / name).read_bytes()), (argv, name)
+
+
 @pytest.mark.parametrize("name", ["heisenberg2", "heisenberg3", "spin_glass2", "spin_glass3",
                                   "standard_lcu", "generic1", "generic2", "generic3"])
 def test_three_part_block_equals_lowered_flat_block(name):
@@ -206,7 +239,7 @@ def test_counts_and_verify_never_build_the_flat_circuit(monkeypatch, tmp_path, c
         assert cli.main(argv) == 0, argv
     # n = 13's dense reference is over the entry budget, refused before a build.
     assert cli.main(["verify", "heisenberg", "--n", "13"]) == 3
-    # encode does export the flat circuit, so the patch is live.
+    # encode does export PR's transpose, through dagger_gates, so the patch is live.
     with pytest.raises(AssertionError):
         cli.main(["encode", "heisenberg", "--n", "2", "-o", str(tmp_path / "enc")])
 

@@ -478,3 +478,24 @@ def test_every_lowering_keeps_to_the_operands_of_its_gate():
                 for g in low:
                     assert {type(q) for q in g.qubits} == {int}, (kind, angle, g)
                     assert set(g.qubits) <= set(qubits), (kind, angle, g)
+
+
+def test_each_lowering_has_one_shape():
+    # The exporters read the kinds and operand slots of each kind's lowering,
+    # and of its adjoint's, off one exemplar (_shape): they must depend on
+    # neither the operands nor the angle.
+    from foqcs.circuit import _lower_gate, _lowered_adjoint, _shape
+
+    rng = np.random.default_rng(20)
+    for kind, row in KINDS.items():
+        rules = (_lower_gate, _lowered_adjoint) if row.adjoint else (_lower_gate,)
+        for rule in rules:
+            for angle in (0.7, -2.3) if row.angled else (None,):
+                for qubits in (tuple(range(row.arity))[::-1],
+                               tuple(int(q) for q in rng.permutation(40)[:row.arity])):
+                    low = rule(Gate(kind, qubits, angle))
+                    shape = tuple((g.kind, tuple(qubits.index(q) for q in g.qubits))
+                                  for g in low)
+                    assert shape == _shape(rule, kind), (kind, rule, angle, qubits)
+                    assert [g.angle is not None for g in low] == [
+                        KINDS[k].angled for k, _ in shape]

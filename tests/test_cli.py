@@ -495,6 +495,35 @@ def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monke
     assert main(["verify", "heisenberg", "--n", "13", "--seed", "1"]) == 3
 
 
+def test_verify_refuses_the_block_width_before_building_h(monkeypatch, capsys):
+    # spin glass n = 9 is 54 qubits plus 9 column bits, over extract_block's
+    # 62-bit index: refused before H or its dense reference is built.
+    def refuse(*args):
+        raise AssertionError("H or its dense reference was built")
+
+    monkeypatch.setattr(foqcs.cli, "spin_glass_hamiltonian", refuse)
+    monkeypatch.setattr(foqcs.cli, "hamiltonian_matrix", refuse)
+    assert main(["verify", "spin-glass", "--n", "9", "--seed", "1"]) == 3
+    assert ("width 54 plus 9 column bits exceeds the sparse simulator's 62-qubit cap"
+            in capsys.readouterr().err)
+
+
+def test_verify_dicke_does_not_import_numpy_ma():
+    script = ("import sys, numpy\n"
+              "alone = 'numpy.ma' in sys.modules\n"
+              "from foqcs.cli import main\n"
+              "code = main(['verify', 'dicke', '--kind', 'd1u', '--n', '3',\n"
+              "             '--alphas', '[[0.6, 0], [0, 0.6], [0.52915026221, 0]]'])\n"
+              "print(alone, code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(foqcs.cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60)
+    alone, code, loaded = run.stdout.splitlines()[-1].split()
+    if alone == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert (code, loaded) == ("0", "False")
+
+
 def test_verify_dicke_nan_amplitude(capsys):
     code = main(["verify", "dicke", "--kind", "d1u", "--n", "3",
                  "--alphas", "[[NaN,0],[1,0],[1,0]]"])

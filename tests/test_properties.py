@@ -16,6 +16,7 @@ from foqcs.circuit import (
     Gate,
     count,
     dagger,
+    export_lowered,
     export_qasm,
     lower,
     parse_qasm,
@@ -147,30 +148,79 @@ def test_exports_of_repeated_gates_equal_the_per_gate_reference(c):
     assert low.to_json() == _json_by_gate(low)
 
 
+@st.composite
+def repeating_encodings(draw):
+    """A block encoding whose SELECT is a repeating circuit and whose PR is up
+    to 12 gates of every kind with a transpose, on at most 4 (kind, qubits)
+    slots of the ancillae, each with an angle from TYPED_ANGLES."""
+    select = draw(repeating_circuits())
+    a = select.layout["anc"][1]
+    slots = _gates(draw, a, EXACT_KINDS, ANGLES)[:4] or (Gate("h", (0,)),)
+    prep = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind, qubits, angle = draw(st.sampled_from(slots))
+        prep.append(Gate(kind, qubits, None if angle is None else draw(TYPED_ANGLES)))
+    return BlockEncoding(select, 1.0, tuple(prep))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(repeating_circuits(), repeating_encodings()))
+def test_export_lowered_equals_the_exports_of_lower(c):
+    low = lower(c.circuit if isinstance(c, BlockEncoding) else c)
+    assert list(export_lowered(c)) == [export_qasm(low), low.to_json()]
+
+
+def _distinct(values) -> int:
+    """How many distinct values, told apart by repr as the exporters must: 0.0,
+    -0.0, 0, False and np.float64(0.0) are equal but print differently."""
+    return len(set(map(repr, values)))
+
+
 def test_each_exporter_formats_each_distinct_gate_once(monkeypatch):
-    built = [circuit.h(0), circuit.h(0), circuit.cnot(0, 1), circuit.cnot(0, 1),
-             circuit.rz(0.0, 1), circuit.rz(-0.0, 1), Gate("rz", (1,), 0), circuit.rz(0.0, 1),
-             circuit.cry(0.5, 0, 2), circuit.cry(0.5, 0, 2)]
-    c = Circuit(3, tuple(built))
-    per_gate = circuit._per_gate
+    # SELECT: 14 gates, 10 distinct, of 6 distinct (kind, angle): h, cnot, rz
+    # 0.0, -0.0 and int 0, and cry 0.5. PR: ry 0.3 twice, a diagonal rz and a
+    # gamma.
+    built = [circuit.h(2), circuit.h(2), circuit.h(3), circuit.cnot(2, 3), circuit.cnot(2, 3),
+             circuit.cnot(0, 3), circuit.rz(0.0, 3), circuit.rz(-0.0, 3), Gate("rz", (3,), 0),
+             circuit.rz(0.0, 3), circuit.rz(0.0, 2), circuit.cry(0.5, 0, 2),
+             circuit.cry(0.5, 0, 2), circuit.cry(0.5, 1, 3)]
+    prep = (circuit.ry(0.3, 0), circuit.ry(0.3, 0), circuit.rz(0.1, 1), circuit.gamma(0.2, 0, 1))
+    be = BlockEncoding(Circuit(4, tuple(built), {"anc": (0, 2), "system": (2, 2)}), 1.0, prep)
+    per_distinct_gate = circuit._per_distinct_gate
     calls = []
 
-    def counting(fn, gates):
+    def counting(fn):
+        i = len(calls)
+        calls.append(0)
+
         def counted(g):
-            calls[-1] += 1
+            calls[i] += 1
             return fn(g)
 
-        calls.append(0)
-        return per_gate(counted, gates)
+        return per_distinct_gate(counted)
 
-    monkeypatch.setattr(circuit, "_per_gate", counting)
-    low = lower(c)
-    export_qasm(low)
-    low.to_json()
-    # built: h, cnot, rz 0.0, rz -0.0, rz int 0 and cry are distinct; lowered:
-    # those five and cry's ry(0.25), ry(-0.25) and cnot(0, 2)
-    assert len(low.gates) == 16
-    assert calls == [6, 8, 8]
+    def calls_of(export) -> list[int]:
+        calls.clear()
+        export()
+        return list(calls)
+
+    def once_each(gates) -> list[int]:
+        # one template per distinct (kind, angle), one text per distinct gate
+        return [_distinct((g.kind, g.angle) for g in gates), _distinct(gates)]
+
+    monkeypatch.setattr(circuit, "_per_distinct_gate", counting)
+    # export_lowered formats PR and SELECT lowered, and the two distinct PR
+    # gates that are not diagonal (ry 0.3 and the gamma) as lowered adjoints;
+    # the rz is its own transpose and reuses its text.
+    fwd = be.prep + be.select.gates
+    assert once_each(fwd) == [9, 13]
+    assert calls_of(lambda: list(export_lowered(be))) == [9, 13, 2, 2]
+    flat = be.circuit.gates
+    assert calls_of(lambda: lower(be.circuit)) == [_distinct(flat)] == [21]
+    low = lower(be.circuit)
+    assert calls_of(lambda: export_qasm(low)) == once_each(low.gates)
+    assert calls_of(low.to_json) == once_each(low.gates)
+    assert calls_of(be.select.to_json) == [6, 10]
 
 
 @PROPERTY_SETTINGS
