@@ -28,7 +28,7 @@ from .models import (
     spin_glass_hamiltonian,
 )
 from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
-from .sim import SPARSE_MAX_WIDTH, assert_state, check_block_width, extract_block
+from .sim import assert_state, extract_block
 
 SWEEP_MAX_LEN = 10_000  # values of n in one counts range
 # --spec holds the whole model, so it excludes these flags. They default to None
@@ -52,14 +52,9 @@ def _from_json(what: str, build, data):
 
 def _check_n(args, n: int | None) -> None:
     """verify refuses a block model's dense 2^n x 2^n reference over the entry
-    budget, and a Dicke state over the sparse simulator's int64 index."""
-    if args.command != "verify" or n is None or n < 0:  # the model refuses n < 0
-        return
-    if args.func is cmd_verify_block:
+    budget. A Dicke state runs sparse at any n, so it has no such check."""
+    if args.func is cmd_verify_block and n is not None and n >= 0:  # the model refuses n < 0
         check_entries(f"verify's 2^{n} x 2^{n} reference", 1, 2 * n)
-    elif n > SPARSE_MAX_WIDTH:
-        raise ResourceGuardError(
-            f"n = {n} is over the sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
 
 
 def _spec(args, what: str, build):
@@ -185,7 +180,6 @@ def cmd_verify_state(args) -> int:
 def cmd_verify_block(args) -> int:
     tol = _tolerance(args, 1e-10)
     be, hamiltonian = args.request(args)
-    check_block_width(be)  # extract_block's own first check, before H is built
     h = hamiltonian()
     if not h.terms:
         raise DomainError(f"every term of H is below the coefficient cutoff {COEFF_CUTOFF:g}")

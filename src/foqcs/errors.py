@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A size guard tripped: an array over the entry budget, or a 62-bit index."""
+    """An array over the entry budget, refused by check_entries before it is allocated."""
 
 
 # The one resource budget: 2**24 entries per array, 24 qubits or a 2^12 x 2^12 matrix.

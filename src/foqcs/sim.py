@@ -15,8 +15,9 @@ two assignments, and a phase gate one in-place scaling of half the amplitudes.
 Two drivers feed that kernel:
   - dense: run, simulate and circuit_unitary hold arrays shaped (2**width,) or
     (2**width, batch);
-  - sparse: _run_sparse holds a state as its support, unique int64 basis
-    indices and their amplitudes, sorted once per run. A kind with one nonzero
+  - sparse: _run_sparse holds a state as its support, unique basis indices
+    (int64 up to 62 bits, Python ints in an object array above, so any width
+    runs) and their amplitudes, sorted once per run. A kind with one nonzero
     per column (x, cnot, toffoli and the diagonal kinds) needs no kernel: each
     index moves to its image and its amplitude is multiplied by the entry
     unless that is 1, as the kernel would. Any gate that mixes amplitudes is
@@ -26,7 +27,7 @@ Two drivers feed that kernel:
 
 errors.check_entries refuses, before it is allocated, each array the input
 sizes: a dense state, unitary or block, and a mixing gate's (2**k, groups)
-block, the only place a sparse support grows. Sparse indices stop at 62 bits.
+block, the only place a sparse support grows.
 
 assert_state and extract_block run sparse. The paper's Dicke states and check-matrix SELECT
 keep a tiny support (a d1 state on n qubits has n nonzeros), so verify dicke
@@ -47,10 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import DIAGONAL_KINDS, KINDS, PERMUTATION_ROWS, Circuit, Gate
-from .errors import ENTRY_BUDGET_BITS, DomainError, ResourceGuardError, check_entries
+from .errors import ENTRY_BUDGET_BITS, DomainError, check_entries
 
-# Sparse basis indices are int64; this many bits leave every shift in range.
-SPARSE_MAX_WIDTH = 62
 # After a mixing gate, a truncating sparse run drops every amplitude with
 # 0 < |amp| <= TRUNCATION and reports the 2-norm it dropped.
 TRUNCATION = 1e-14
@@ -179,11 +178,18 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return first
 
 
+def _index_dtype(bits: int):
+    """The dtype of sparse basis indices of `bits` bits: int64 while every
+    shift stays clear of the sign bit, else Python ints in an object array."""
+    return np.int64 if bits <= 62 else object
+
+
 def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
                 truncate: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Apply `gates` to the state sum_j amps[j] |idx[j]>; returns (idx, amps, delta).
 
-    idx holds unique int64 basis indices in any order; the result is sorted
+    idx holds unique basis indices in any order, int64 or Python ints in an
+    object array (_index_dtype), and the result keeps that dtype; it is sorted
     once, on return, and neither input is modified. Per gate, each index's
     operand bits give its local index p (bit i of p is qubits[i]); spread[p]
     puts p's bits back on the qubits. A kind in PERMUTATION_ROWS moves each
@@ -196,24 +202,21 @@ def _run_sparse(gates, idx: np.ndarray, amps: np.ndarray,
     mixing gate, and delta sums the 2-norms of what each gate dropped: every
     gate is unitary, so in exact arithmetic the untruncated result is within
     delta of the returned one in 2-norm. Without truncate delta is 0.
-    |NaN| <= TRUNCATION is False, so a NaN stays in the support. An operand at
-    or above SPARSE_MAX_WIDTH raises ResourceGuardError rather than shift into
-    the sign bit.
+    |NaN| <= TRUNCATION is False, so a NaN stays in the support. The two
+    dtypes give the same indices and the same amplitude bytes.
     """
     amps = amps.copy()  # scaled in place below
     delta = 0.0
     for g in gates:
         qs = g.qubits
-        if max(qs) >= SPARSE_MAX_WIDTH:
-            raise ResourceGuardError(
-                f"qubit {max(qs)} is over the sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
         spread = [0]
         for q in qs:
             spread += [s | 1 << q for s in spread]
-        spread = np.array(spread)
+        spread = np.array(spread, dtype=idx.dtype)
         local = (idx >> qs[0]) & 1
         for i, q in enumerate(qs[1:], 1):
             local |= ((idx >> q) & 1) << i
+        local = local.astype(np.int64, copy=False)
         u = gate_unitary(g)
         rows = PERMUTATION_ROWS.get(g.kind)
         if rows is not None:
@@ -291,15 +294,6 @@ class BlockReport:
         return bool(self.max_abs_error + 2 * d + d * d <= tol)
 
 
-def check_block_width(be) -> None:
-    """Refuse an encoding that extract_block cannot index: its width plus the n
-    column bits held above it must fit in SPARSE_MAX_WIDTH bits."""
-    n = be.layout["system"][1]
-    if be.width + n > SPARSE_MAX_WIDTH:
-        raise ResourceGuardError(f"width {be.width} plus {n} column bits exceeds the "
-                                 f"sparse simulator's {SPARSE_MAX_WIDTH}-qubit cap")
-
-
 def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     """Read off <0_anc| PL-dagger SELECT PR |0_anc> on the system register.
 
@@ -311,20 +305,23 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     v x |b>, with b copied into n extra bits above the top qubit that no gate
     reads, so the columns never mix. A pass starts from at most
     2**min(sys_start, ENTRY_BUDGET_BITS) entries (all columns when v is
-    sparse, one when v is dense), never from nnz(v) * 2**n ~ 2**width. Each
-    output entry whose ancilla part is in the support of v adds v_anc times
-    its amplitude to block[row, b]; any other entry meets a zero of the bra. The per-input post-selection probability
-    is the squared norm of column b.
+    sparse, one when v is dense), never from nnz(v) * 2**n ~ 2**width. The
+    indices take the dtype of width + n bits (_index_dtype). Each output entry
+    whose ancilla part is in the support of v adds v_anc times its amplitude
+    to block[row, b]; any other entry meets a zero of the bra. The per-input
+    post-selection probability is the squared norm of column b. It and the
+    error against `reference` are read a slab of columns at a time, so no
+    temporary the size of the block is formed.
     """
-    check_block_width(be)
     sys_start, n = be.layout["system"]
     check_entries(f"the 2^{n} x 2^{n} block", 1, 2 * n)
-    v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=np.int64),
+    dtype = _index_dtype(be.width + n)
+    v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=dtype),
                                   np.ones(1, dtype=complex), truncate=True)
     dim, step = 1 << n, max(1, (1 << min(sys_start, ENTRY_BUDGET_BITS)) // v_idx.size)
     block = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, dim, step):
-        b = np.arange(lo, min(lo + step, dim), dtype=np.int64)[:, None]
+        b = np.arange(lo, min(lo + step, dim), dtype=dtype)[:, None]
         # column bits on top: unique, as _run_sparse needs
         start = (v_idx | b << sys_start | b << be.width).ravel()
         idx, amps, _ = _run_sparse(be.select.gates, start, np.tile(v, b.size))
@@ -332,10 +329,20 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
         pos = np.minimum(np.searchsorted(v_idx, anc), v_idx.size - 1)
         hit = v_idx[pos] == anc
         idx = idx[hit]
-        np.add.at(block, ((idx >> sys_start) & (dim - 1), idx >> be.width),
+        rows = ((idx >> sys_start) & (dim - 1)).astype(np.int64, copy=False)
+        np.add.at(block, (rows, (idx >> be.width).astype(np.int64, copy=False)),
                   v[pos[hit]] * amps[hit])
-    probs = np.sum(np.abs(block) ** 2, axis=0)
-    err = 0.0 if reference is None else float(np.max(np.abs(block - reference)))
+    # Slabs of about 2^16 entries. dim and cols are powers of two, so each slab
+    # has at least two columns or is the whole block: numpy then sums each
+    # column row by row, as it sums the whole block, so no byte changes.
+    cols = min(dim, max(2, (1 << 16) // dim))
+    probs, errs = np.empty(dim), []
+    for lo in range(0, dim, cols):
+        slab = block[:, lo:lo + cols]
+        probs[lo:lo + cols] = np.sum(np.abs(slab) ** 2, axis=0)
+        if reference is not None:
+            errs.append(np.max(np.abs(slab - reference[:, lo:lo + cols])))
+    err = 0.0 if reference is None else float(np.max(errs))  # NaN propagates
     return BlockReport(block=block, max_abs_error=err, postselect_probability=probs,
                        truncation=delta)
 
@@ -357,11 +364,9 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
     index outside both that output support and `expected` has diff exactly 0,
     so only the union of the two index sets is compared.
     """
-    if circuit.width > SPARSE_MAX_WIDTH:
-        raise ResourceGuardError(f"width {circuit.width} exceeds simulator cap {SPARSE_MAX_WIDTH}")
-    dim = 1 << circuit.width
+    dim, dtype = 1 << circuit.width, _index_dtype(circuit.width)
     if init is None:
-        idx, amps = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+        idx, amps = np.zeros(1, dtype=dtype), np.ones(1, dtype=complex)
     elif init.width != circuit.width:
         raise DomainError(f"state width {init.width} != circuit width {circuit.width}")
     elif np.shape(init.amps) != (dim,):
@@ -373,7 +378,7 @@ def assert_state(circuit: Circuit, expected: dict[int, complex], tol: float = 1e
     for i in expected:
         if not 0 <= i < dim:
             raise DomainError(f"expected index {i} out of range")
-    exp_idx = np.fromiter(expected, dtype=np.int64, count=len(expected))
+    exp_idx = np.fromiter(expected, dtype=dtype, count=len(expected))
     exp_amps = np.fromiter(expected.values(), dtype=complex, count=len(expected))
     # the sorted union, as np.union1d gives it; np.unique imports numpy.ma
     union = np.concatenate((idx, exp_idx))

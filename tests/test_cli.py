@@ -101,9 +101,13 @@ def test_verify_generic_empty_spec_path_is_an_input_error(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_verify_width_guard():
-    # heisenberg n=13's dense 2^13 x 2^13 reference is over the entry budget
-    assert main(["verify", "heisenberg", "--n", "13"]) == 3
+def test_verify_width_guard(capsys):
+    # n=13's dense 2^13 x 2^13 reference is over the entry budget, the only
+    # resource guard left
+    for model in ("heisenberg", "spin-glass"):
+        assert main(["verify", model, "--n", "13"]) == 3
+        assert ("verify's 2^13 x 2^13 reference is over the budget of 2^24 entries"
+                in capsys.readouterr().err)
 
 
 def test_counts_heisenberg_csv(capsys):
@@ -454,12 +458,18 @@ def test_verify_heisenberg_within_the_entry_budget(capsys):
 @pytest.mark.parametrize("argv", [
     ["heisenberg", "--n", "10", "--seed", "1"],
     ["spin-glass", "--n", "8", "--seed", "1"],
+    ["spin-glass", "--n", "9", "--seed", "1"],
     ["dicke", "--kind", "d1", "--n", "62"],
     ["dicke", "--kind", "d1d", "--n", "31"],
-], ids=["heisenberg-10", "spin-glass-8", "dicke-d1-62", "dicke-d1d-31"])
+    ["dicke", "--kind", "d1", "--n", "64"],
+    ["dicke", "--kind", "d1d", "--n", "64"],
+], ids=["heisenberg-10", "spin-glass-8", "spin-glass-9", "dicke-d1-62", "dicke-d1d-31",
+        "dicke-d1-64", "dicke-d1d-64"])
 def test_verify_wide_encodings(capsys, argv):
-    # Widths 36, 48, 62 and 62: the sparse paths keep every array far within
-    # the entry budget, and the 2^n x 2^n reference is at most 2^20 entries.
+    # Widths 36, 48, 54, 62, 62, 64 and 128: the sparse paths keep every array
+    # far within the entry budget, and the 2^n x 2^n reference is at most 2^20
+    # entries. Past 62 index bits (spin glass n = 9 is width 54 plus 9 column
+    # bits) the indices are Python ints in an object array.
     assert main(["verify", *argv]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] and out["max_abs_error"] <= 1e-14
@@ -493,19 +503,6 @@ def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monke
                     == (tmp_path / f"ref{i}" / name).read_bytes())
     # n=13's dense reference is over the entry budget
     assert main(["verify", "heisenberg", "--n", "13", "--seed", "1"]) == 3
-
-
-def test_verify_refuses_the_block_width_before_building_h(monkeypatch, capsys):
-    # spin glass n = 9 is 54 qubits plus 9 column bits, over extract_block's
-    # 62-bit index: refused before H or its dense reference is built.
-    def refuse(*args):
-        raise AssertionError("H or its dense reference was built")
-
-    monkeypatch.setattr(foqcs.cli, "spin_glass_hamiltonian", refuse)
-    monkeypatch.setattr(foqcs.cli, "hamiltonian_matrix", refuse)
-    assert main(["verify", "spin-glass", "--n", "9", "--seed", "1"]) == 3
-    assert ("width 54 plus 9 column bits exceeds the sparse simulator's 62-qubit cap"
-            in capsys.readouterr().err)
 
 
 def test_verify_dicke_does_not_import_numpy_ma():
@@ -886,17 +883,17 @@ def test_counts_range_over_the_sweep_limit_is_an_input_error(monkeypatch, capsys
 
 
 # verify refuses a block model whose dense 2^n x 2^n reference is over the
-# entry budget, and a Dicke n over the 62 index bits, before a model is drawn:
-# at 1e5 the spin-glass J alone would take 224 GiB, and at 1e20 the Heisenberg
-# build would not end. Every command refuses spin-glass couplings over the
-# budget; otherwise an n too large for the machine is an input error.
+# entry budget before a model is drawn: at 1e5 the spin-glass J alone would
+# take 224 GiB, and at 1e20 the Heisenberg build would not end. Every command
+# refuses spin-glass couplings over the budget; otherwise an n too large for
+# the machine is an input error, raised before anything is built.
 HUGE_N = str(10**20)
 
 
 @pytest.mark.parametrize("argv, code", [
     (["verify", "spin-glass", "--n", "100000"], 3),
     (["verify", "heisenberg", "--n", HUGE_N], 3),
-    (["verify", "dicke", "--kind", "d1", "--n", HUGE_N], 3),
+    (["verify", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
     (["counts", "heisenberg", "--n", f"2:{HUGE_N}"], 1),
     (["counts", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
     (["encode", "dicke", "--kind", "d1", "--n", HUGE_N, "-o", "out"], 1),
@@ -921,7 +918,7 @@ BUDGET = "over the budget of 2^24 entries"
     ("spin-glass", {"n": 100000, "g": [], "J": []}, BUDGET),
     ("heisenberg", {"n": 10**20, "gx": 1.0}, BUDGET),
     ("generic", {"n": 22, "terms": [{"coeff": [1.0, 0.0], "ops": "X" * 22}]}, BUDGET),
-    ("dicke", {"kind": "d1", "n": 63}, "over the sparse simulator's 62-qubit cap"),
+    ("dicke", {"kind": "d1", "n": 63}, None),
 ], ids=["spin-glass", "heisenberg", "generic", "dicke"])
 def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
         tmp_path, monkeypatch, capsys, model, spec, reason):
@@ -930,11 +927,16 @@ def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
 
     for cls in (SpinGlassParams, HeisenbergParams, PauliSum):
         monkeypatch.setattr(cls, "from_dict", refuse)
-    monkeypatch.setattr(foqcs.cli, "_dicke_fields", refuse)
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))
-    assert main(["verify", model, "--spec", str(f)]) == 3
+    code = main(["verify", model, "--spec", str(f)])
     captured = capsys.readouterr()
+    if reason is None:
+        # A Dicke state runs sparse at any n, so its spec has no cap: n = 63,
+        # past the 62 bits of an int64 index, verifies.
+        assert code == 0 and json.loads(captured.out)["ok"]
+        return
+    assert code == 3
     assert captured.out == ""
     assert reason in captured.err
 

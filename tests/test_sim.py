@@ -22,7 +22,6 @@ from foqcs.circuit import (
 from foqcs.errors import DomainError, ResourceGuardError
 from foqcs.pauli import PauliSum, PauliTerm
 from foqcs.sim import (
-    SPARSE_MAX_WIDTH,
     TRUNCATION,
     BlockReport,
     StateVector,
@@ -198,18 +197,23 @@ def test_width_guard():
 
 
 def test_sparse_index_width_guard():
-    # Sparse indices are int64, so the sparse paths stop at 62 qubits, whatever
-    # the entry budget allows, and never return a wrapped index.
-    assert SPARSE_MAX_WIDTH == 62
+    # Indices of up to 62 bits are int64; wider ones are Python ints in an
+    # object array, so no sparse path has a width cap and none wraps an index.
+    assert sim._index_dtype(62) is np.int64 and sim._index_dtype(63) is object
     r = assert_state(Circuit(62, (x(61),)), {1 << 61: 1.0})
     assert r.ok and r.max_abs_error == 0.0
-    wide = Circuit(64, (x(63),), {"system": (62, 2)})
-    with pytest.raises(ResourceGuardError, match="width 64 exceeds simulator cap 62"):
-        assert_state(wide, {0: 1.0})
-    with pytest.raises(ResourceGuardError):
-        extract_block(BlockEncoding(wide, 1.0))
-    with pytest.raises(ResourceGuardError):
-        _run_sparse(wide.gates, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+    wide = Circuit(64, (x(63), h(62)), {"system": (62, 2)})
+    r = assert_state(wide, {1 << 63: 0.5 ** 0.5, 3 << 62: 0.5 ** 0.5})
+    assert r.ok and r.max_abs_error < 1e-15, r.mismatches
+    r = assert_state(wide, {1 << 63: 1.0})
+    assert not r.ok and [i for i, _, _ in r.mismatches] == [1 << 63, 3 << 62]
+    idx, amps, delta = _run_sparse(wide.gates[:1], np.zeros(1, dtype=object),
+                                   np.ones(1, dtype=complex))
+    assert idx.dtype == object and idx.tolist() == [1 << 63] and amps.tolist() == [1]
+    # x on the top system qubit flips bit 1 of the column.
+    rep = extract_block(BlockEncoding(Circuit(64, (x(63),), {"system": (62, 2)}), 1.0),
+                        np.eye(4)[[2, 3, 0, 1]])
+    assert rep.max_abs_error == 0.0 and rep.postselect_probability.tolist() == [1.0] * 4
 
 
 def test_a_gate_over_the_entry_budget_is_refused_before_its_block(monkeypatch):
@@ -318,9 +322,33 @@ def test_sparse_driver_takes_unsorted_input_and_sorts_its_output():
 
 def test_extract_block_column_bits_fit_in_int64():
     # extract_block holds each column in n index bits above the top qubit, so
-    # width + n must stay within the 62 bits as well.
-    with pytest.raises(ResourceGuardError, match="width 61 plus 2 column bits"):
-        extract_block(BlockEncoding(Circuit(61, (), {"system": (59, 2)}), 1.0))
+    # width + n picks the index dtype: width 61 plus 2 column bits is past the
+    # 62 bits of an int64 and runs on object indices, to the identity block.
+    assert sim._index_dtype(61 + 2) is object
+    rep = extract_block(BlockEncoding(Circuit(61, (), {"system": (59, 2)}), 1.0), np.eye(4))
+    assert rep.block.tolist() == np.eye(4).tolist()
+    assert rep.max_abs_error == 0.0 and rep.postselect_probability.tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_sparse_driver_is_bit_identical_on_int64_and_object_indices(truncate):
+    # The same draws on int64 indices, on Python ints in an object array, and
+    # with every qubit and index shifted up by 64: equal indices, all Python
+    # ints in the object runs, and the same amplitude bytes and budget.
+    rng = np.random.default_rng(64)
+    for trial in range(150):
+        idx, amps, gates = _random_sparse_case(rng, 6)
+        high = [Gate(g.kind, tuple(q + 64 for q in g.qubits), g.angle) for g in gates]
+        with np.errstate(all="ignore"):
+            want = _run_sparse(gates, idx, amps, truncate)
+            runs = {0: _run_sparse(gates, idx.astype(object), amps, truncate),
+                    64: _run_sparse(high, idx.astype(object) << 64, amps, truncate)}
+        assert want[0].dtype == np.int64
+        for shift, got in runs.items():
+            assert got[0].dtype == object and {type(i) for i in got[0]} <= {int}
+            assert got[0].tolist() == [i << shift for i in want[0].tolist()], (trial, shift)
+            assert got[1].tobytes() == want[1].tobytes(), (trial, shift)
+            assert got[2] == want[2], (trial, shift)
 
 
 def test_extract_block_stays_on_the_support():
@@ -336,6 +364,27 @@ def test_extract_block_stays_on_the_support():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_extract_block_holds_no_second_block():
+    # The probabilities and the error are read a slab of columns at a time, so
+    # besides the block (67 MB at n = 11) and the caller's reference, no
+    # temporary of 4^n entries is held.
+    from foqcs.encoder import heisenberg_encoding
+    from foqcs.models import random_heisenberg
+
+    be = heisenberg_encoding(random_heisenberg(11, np.random.default_rng(1)))
+    reference = np.zeros((1 << 11, 1 << 11), dtype=complex)
+    tracemalloc.start()
+    try:
+        rep = extract_block(be, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * rep.block.nbytes
+    assert rep.max_abs_error == np.max(np.abs(rep.block))
+    assert (rep.postselect_probability.tobytes()
+            == np.sum(np.abs(rep.block) ** 2, axis=0).tobytes())
 
 
 def test_extract_block_splits_the_columns_of_a_dense_pr_state():
