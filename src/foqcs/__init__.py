@@ -23,14 +23,12 @@ from .dicke import (
     cnot_chain,
     elementwise_copy,
     prepare_dicke1,
-    prepare_dicke1_unbalanced,
     prepare_dicke2k,
     prepare_double,
     staircase,
     unbalanced_angles,
 )
 from .encoder import (
-    CoefficientMatrix,
     generic_foqcs,
     heisenberg_encoding,
     heisenberg_pr,

@@ -31,9 +31,6 @@ from .pauli import COEFF_CUTOFF, PauliSum, hamiltonian_matrix, one_norm
 from .sim import assert_state, extract_block
 
 SWEEP_MAX_LEN = 10_000  # values of n in one counts range
-# --spec holds the whole model, so it excludes these flags. They default to None
-# (the seed's 0 is filled in where a model is drawn), so an explicit one shows.
-SPEC_EXCLUDES = ("n", "seed", *HEISENBERG_FIELDS, "kind", "k", "alphas")
 
 
 def _log(msg: str) -> None:
@@ -234,6 +231,9 @@ MODELS = {
     "generic": (_generic, (), BLOCK),
     "dicke": (_dicke, ("kind", "n", "k", "alphas"), STATE),
 }
+# --spec holds the whole model, so it excludes every model's flags. They default
+# to None (the seed's 0 is filled in where a model is drawn), so an explicit one shows.
+SPEC_EXCLUDES = tuple(dict.fromkeys(f for _, flags, _ in MODELS.values() for f in flags))
 FLAG_TYPES = {"n": int, "seed": int, "k": int, **dict.fromkeys(HEISENBERG_FIELDS, float)}
 # counts model: the sweep it runs (None: the Dicke kind given by --kind)
 COUNTS = {"heisenberg": "heisenberg", "spin-glass": "spin_glass", "dicke": None}

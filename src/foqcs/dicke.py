@@ -99,7 +99,7 @@ def staircase(n: int, thetas) -> Circuit:
     """Width-n staircase circuit; acts trivially on |0^n>."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return Circuit(max(n, 1), tuple(staircase_gates(tuple(thetas), list(range(n)))))
+    return Circuit(n, tuple(staircase_gates(tuple(thetas), list(range(n)))))
 
 
 def phase_gates(etas, qubits) -> list[Gate]:
@@ -159,18 +159,15 @@ def _body_gates(n: int, qubits, a: AmplitudeList | None) -> list[Gate]:
     return out
 
 
-def prepare_dicke1(n: int) -> Circuit:
-    """|0^n> -> (1/sqrt(n)) sum_l |2^l>."""
+def dicke1_gates(n: int, a: AmplitudeList | None) -> list[Gate]:
     if n < 2:
         raise DomainError("n must be >= 2")
-    return Circuit(n, tuple(_body_gates(n, list(range(n)), None)))
+    return _body_gates(n, list(range(n)), a)
 
 
-def prepare_dicke1_unbalanced(n: int, a: AmplitudeList) -> Circuit:
-    """|0^n> -> sum_l alphas[l] |2^l>."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    return Circuit(n, tuple(_body_gates(n, list(range(n)), a)))
+def prepare_dicke1(n: int, a: AmplitudeList | None = None) -> Circuit:
+    """|0^n> -> sum_l alphas[l] |2^l> (balanced when a is None)."""
+    return Circuit(n, tuple(dicke1_gates(n, a)))
 
 
 def dicke2k_gates(n: int, k: int, a: AmplitudeList | None) -> list[Gate]:
@@ -187,23 +184,13 @@ def prepare_dicke2k(n: int, k: int, a: AmplitudeList | None = None) -> Circuit:
     return Circuit(n, tuple(dicke2k_gates(n, k, a)))
 
 
-def prepare_double(n: int, kind: str = "single", k: int | None = None,
-                   a: AmplitudeList | None = None) -> Circuit:
+def prepare_double(n: int, k: int | None = None, a: AmplitudeList | None = None) -> Circuit:
     """Duplicate a Dicke state across two n-qubit registers.
 
-    kind="single": sum alphas[l] |2^l>|2^l>;
-    kind="pair":   sum alphas[l] |2^l + 2^(l+k)>|same>, 1 <= k <= n-1.
+    k None: sum alphas[l] |2^l>|2^l>;
+    k given: sum alphas[l] |2^l + 2^(l+k)>|same>, 1 <= k <= n-1.
     """
-    if kind == "single":
-        if n < 2:
-            raise DomainError("n must be >= 2")
-        gates = _body_gates(n, list(range(n)), a)
-    elif kind == "pair":
-        if k is None:
-            raise DomainError("pair kind needs k")
-        gates = dicke2k_gates(n, k, a)
-    else:
-        raise DomainError(f"unknown double kind {kind!r}")
+    gates = dicke1_gates(n, a) if k is None else dicke2k_gates(n, k, a)
     gates += [cnot(l, n + l) for l in range(n)]
     return Circuit(2 * n, tuple(gates))
 
@@ -232,14 +219,13 @@ def _pair(k: int, l: int) -> int:
 # Entries call the builders by module-level name, so a wrapper placed on a
 # foqcs.dicke builder sees every call made through the registry.
 DICKE_KINDS = {
-    "d1": DickeKind(
-        lambda n, k, a: prepare_dicke1(n) if a is None else prepare_dicke1_unbalanced(n, a),
-        lambda n, k, l: 1 << l, lambda n, k: 2 * n - 2, False),
+    "d1": DickeKind(lambda n, k, a: prepare_dicke1(n, a),
+                    lambda n, k, l: 1 << l, lambda n, k: 2 * n - 2, False),
     "d2k": DickeKind(lambda n, k, a: prepare_dicke2k(n, k, a),
                      lambda n, k, l: _pair(k, l), lambda n, k: 3 * n - 3 * k - 2, True),
-    "d1d": DickeKind(lambda n, k, a: prepare_double(n, "single", a=a),
+    "d1d": DickeKind(lambda n, k, a: prepare_double(n, a=a),
                      lambda n, k, l: (1 << l) | (1 << (n + l)), lambda n, k: 3 * n - 2, False),
-    "d2kd": DickeKind(lambda n, k, a: prepare_double(n, "pair", k, a),
+    "d2kd": DickeKind(lambda n, k, a: prepare_double(n, k, a),
                       lambda n, k, l: _pair(k, l) | _pair(k, l) << n,
                       lambda n, k: 4 * n - 3 * k - 2, True),
 }

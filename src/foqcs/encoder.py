@@ -1,16 +1,17 @@
 """Complete block-encoding assemblies: SELECT, PR oracles, spin models.
 
 Register layout is [subpr | x_anc | z_anc | system] in ascending qubit order.
-The SELECT oracle is one layer of CNOTs (x ancilla l -> system l) followed by
-one layer of CZs (z ancilla l -> system l). PR prepares square-rooted
-coefficients v_a on the ancillae. PL is conj(PR), which prepares their complex
-conjugates, so conj(conj(v_a)) v_a = v_a^2 reproduces each coefficient exactly
-regardless of square-root branch; each encoder builds PR alone.
+_assemble derives it from the subpr and system sizes, and every encoding, PR
+oracle and literal reference reads its registers from there. The SELECT oracle
+is one layer of CNOTs (x ancilla l -> system l) followed by one layer of CZs
+(z ancilla l -> system l). PR prepares square-rooted coefficients v_a on the
+ancillae. PL is conj(PR), which prepares their complex conjugates, so
+conj(conj(v_a)) v_a = v_a^2 reproduces each coefficient exactly regardless of
+square-root branch; each encoder builds PR alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +48,46 @@ def select_gates(x_base: int, z_base: int, sys_base: int, n: int) -> list[Gate]:
     return layer1 + layer2
 
 
-def _assemble(layout, prep: list[Gate], normalization: float) -> BlockEncoding:
-    """PR's gates and the check-matrix SELECT over layout; PL is conj(PR)."""
-    (xb, n), (zb, _), (sb, _) = layout["x_anc"], layout["z_anc"], layout["system"]
+def _assemble(subpr: int, n: int, prep: list[Gate], normalization: float) -> BlockEncoding:
+    """PR's gates and the check-matrix SELECT over [subpr | x_anc | z_anc |
+    system], with no subpr register when subpr is 0; PL is conj(PR)."""
+    layout = {"subpr": (0, subpr)} if subpr else {}
+    xb, zb, sb = subpr, subpr + n, subpr + 2 * n
+    layout |= {"x_anc": (xb, n), "z_anc": (zb, n), "system": (sb, n)}
     select = Circuit(sb + n, tuple(select_gates(xb, zb, sb, n)), layout)
     return BlockEncoding(select, normalization, prep=prep)
+
+
+def _pr(be: BlockEncoding) -> Circuit:
+    """PR alone, over the ancilla registers below the system register."""
+    layout = dict(be.layout)
+    sys_start, _ = layout.pop("system")
+    return Circuit(sys_start, be.prep, layout)
+
+
+def _literal_pr(subpr: int, n: int, selector: AmplitudeList, families) -> Circuit:
+    """The literal controlled-Dicke PR: the selector W state on the subpr
+    wires, then for each (wire, axis, k, amplitudes) the family's Dicke state
+    (d1 or d2k on the x or z register; d1d or d2kd across both for y),
+    controlled by its wire. The compact builders must prepare the same state."""
+    frame = _pr(_assemble(subpr, n, [], 1.0))
+    (xb, _), (zb, _) = frame.layout["x_anc"], frame.layout["z_anc"]
+    x_map = {q: xb + q for q in range(n)}
+    qmaps = {"x": x_map, "z": {q: zb + q for q in range(n)},
+             "y": x_map | {n + q: zb + q for q in range(n)}}
+    gates = dicke._body_gates(subpr, list(range(subpr)), selector)
+    for wire, axis, k, amps in families:
+        kind = ("d2k" if k else "d1") + ("d" if axis == "y" else "")
+        circ = dicke.DICKE_KINDS[kind].build(n, k, amps)
+        gates += control(remap(circ, qmaps[axis], frame.width), wire).gates
+    return Circuit(frame.width, tuple(gates), frame.layout)
 
 
 def select_oracle(n: int) -> Circuit:
     """Depth-2 SELECT: n CNOTs then n CZs over layout (x_anc, z_anc, system)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    layout = {"x_anc": (0, n), "z_anc": (n, n), "system": (2 * n, n)}
-    return Circuit(3 * n, tuple(select_gates(0, n, 2 * n, n)), layout)
+    return _assemble(0, n, [], 1.0).select
 
 
 # --- generic check-matrix path ---
@@ -78,8 +106,7 @@ def generic_foqcs(h: PauliSum) -> BlockEncoding:
     amps = np.zeros(1 << (2 * n), dtype=complex)
     for ct in check_decompose(h):
         amps[ct.i | (ct.j << n)] = np.sqrt(ct.alpha_prime / norm)
-    layout = {"x_anc": (0, n), "z_anc": (n, n), "system": (2 * n, n)}
-    return _assemble(layout, state_prep_gates(amps, list(range(2 * n))), norm)
+    return _assemble(0, n, state_prep_gates(amps, list(range(2 * n))), norm)
 
 
 # --- Heisenberg model ---
@@ -131,83 +158,26 @@ def _heisenberg_pr_gates(p: HeisenbergParams, x_base: int, z_base: int) -> list[
     return gates
 
 
-def _heisenberg_pr_gates_uncompressed(p: HeisenbergParams, x_base: int,
-                                      z_base: int) -> list[Gate]:
-    """Literal controlled-Dicke network; retained to power equivalence tests."""
-    n = p.n
-    amps = _heisenberg_subpr_amps(p)
-    w = _H_WIRES
-    width = max(x_base, z_base) + n
-    gates = dicke._body_gates(6, list(range(6)), amps)
-    x_map = {q: x_base + q for q in range(n)}
-    z_map = {q: z_base + q for q in range(n)}
-    xz_map = x_map | {n + q: z_base + q for q in range(n)}
-    blocks = [
-        (w["gx"], dicke.prepare_dicke1(n), x_map),
-        (w["gz"], dicke.prepare_dicke1(n), z_map),
-        (w["gy"], dicke.prepare_double(n, "single"), xz_map),
-        (w["jx"], dicke.prepare_dicke2k(n, 1), x_map),
-        (w["jz"], dicke.prepare_dicke2k(n, 1), z_map),
-        (w["jy"], dicke.prepare_double(n, "pair", 1), xz_map),
-    ]
-    for wire, circ, qmap in blocks:
-        gates += control(remap(circ, qmap, width), wire).gates
-    return gates
+def _heisenberg_literal(p: HeisenbergParams) -> Circuit:
+    """Literal PR: families gx, gz, gy (k = 0) and jx, jz, jy (k = 1)."""
+    families = [(_H_WIRES[f"{c}{axis}"], axis, k, None)
+                for c, k in (("g", 0), ("j", 1)) for axis in "xzy"]
+    return _literal_pr(6, p.n, _heisenberg_subpr_amps(p), families)
 
 
-def heisenberg_pr(p: HeisenbergParams, compact: bool = True) -> Circuit:
-    """PR oracle over 2n+6 ancillae; compact and literal variants prepare
-    identical states on |0>."""
-    n = p.n
-    layout = {"subpr": (0, 6), "x_anc": (6, n), "z_anc": (6 + n, n)}
-    build = _heisenberg_pr_gates if compact else _heisenberg_pr_gates_uncompressed
-    return Circuit(6 + 2 * n, tuple(build(p, 6, 6 + n)), layout)
+def heisenberg_pr(p: HeisenbergParams) -> Circuit:
+    """PR oracle over 2n+6 ancillae; it prepares the state of
+    _heisenberg_literal on |0>."""
+    return _pr(heisenberg_encoding(p))
 
 
 def heisenberg_encoding(p: HeisenbergParams) -> BlockEncoding:
     """PR and SELECT over 6+3n qubits; block = H/N."""
     n = p.n
-    xb, zb = 6, 6 + n
-    layout = {"subpr": (0, 6), "x_anc": (xb, n), "z_anc": (zb, n), "system": (6 + 2 * n, n)}
-    return _assemble(layout, _heisenberg_pr_gates(p, xb, zb), p.normalization())
+    return _assemble(6, n, _heisenberg_pr_gates(p, 6, 6 + n), p.normalization())
 
 
 # --- spin glass model ---
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Square-rooted couplings per axis, with per-diagonal norms.
-
-    entries[a] is upper triangular (diagonal = sqrt(g), k-th diagonal =
-    sqrt(J)); diag_norms[a, k] is the absolute coupling mass on diagonal k, so
-    each extracted diagonal divided by sqrt(diag_norms) has unit 2-norm.
-    """
-
-    entries: np.ndarray
-    diag_norms: np.ndarray
-
-    @classmethod
-    def from_params(cls, p: SpinGlassParams) -> "CoefficientMatrix":
-        n = p.n
-        entries = np.zeros((3, n, n), dtype=complex)
-        norms = np.zeros((3, n))
-        for a in range(3):
-            for l in range(n):
-                entries[a, l, l] = np.sqrt(complex(p.g[a, l]))
-                for m in range(l + 1, n):
-                    entries[a, l, m] = np.sqrt(complex(p.J[a, l, m]))
-            for k in range(n):
-                diag = np.diagonal(entries[a], offset=k)
-                norms[a, k] = float(np.sum(np.abs(diag) ** 2))
-        return cls(entries, norms)
-
-    def normalized_diagonal(self, axis: int, k: int) -> np.ndarray:
-        diag = np.diagonal(self.entries[axis], offset=k).copy()
-        nk = self.diag_norms[axis, k]
-        if nk < _ZERO_DIAG_TOL:
-            return np.zeros_like(diag)
-        return diag / math.sqrt(nk)
 
 
 def _sg_wire(n: int, axis: int, k: int) -> int:
@@ -217,14 +187,17 @@ def _sg_wire(n: int, axis: int, k: int) -> int:
 
 
 def _sg_tables(p: SpinGlassParams):
+    """The selector amplitudes and, per nonzero (axis, k), the unit-norm body:
+    the square-rooted diagonal (g[a] at k = 0, J[a]'s k-th diagonal above)
+    over the square root of its absolute coupling mass."""
     n = p.n
-    cm = CoefficientMatrix.from_params(p)
     norm = p.normalization()
     sub = np.zeros(3 * n, dtype=complex)
     bodies: dict[tuple[int, int], np.ndarray] = {}
     for a in range(3):
         for k in range(n):
-            nk = cm.diag_norms[a, k]
+            diag = np.sqrt((np.diagonal(p.J[a], k) if k else p.g[a]).astype(complex))
+            nk = float(np.sum(np.abs(diag) ** 2))
             if nk < _ZERO_DIAG_TOL:
                 continue
             if a == 1:
@@ -232,7 +205,7 @@ def _sg_tables(p: SpinGlassParams):
             else:
                 factor = math.sqrt(nk / norm)
             sub[_sg_wire(n, a, k)] = factor
-            bodies[(a, k)] = cm.normalized_diagonal(a, k)
+            bodies[(a, k)] = diag / math.sqrt(nk)
     return sub, bodies
 
 
@@ -311,43 +284,23 @@ def _spin_glass_pr_gates(p: SpinGlassParams, x_base: int, z_base: int) -> list[G
     return gates
 
 
-def _spin_glass_pr_gates_uncompressed(p: SpinGlassParams, x_base: int,
-                                      z_base: int) -> list[Gate]:
+def _spin_glass_literal(p: SpinGlassParams) -> Circuit:
+    """Literal PR: one family per nonzero diagonal, k first, then x, z, y."""
     n = p.n
     sub, bodies = _sg_tables(p)
-    gates = dicke._body_gates(3 * n, list(range(3 * n)), AmplitudeList(sub))
-    width = max(x_base, z_base) + n
-    x_map = {q: x_base + q for q in range(n)}
-    z_map = {q: z_base + q for q in range(n)}
-    xz_map = x_map | {n + q: z_base + q for q in range(n)}
-    for k in range(n):
-        for a, qmap in ((0, x_map), (2, z_map), (1, xz_map)):
-            if (a, k) not in bodies:
-                continue
-            amp = AmplitudeList(bodies[(a, k)])
-            if a == 1:
-                circ = (dicke.prepare_double(n, "single", a=amp) if k == 0
-                        else dicke.prepare_double(n, "pair", k, amp))
-            else:
-                circ = (dicke.prepare_dicke1_unbalanced(n, amp) if k == 0
-                        else dicke.prepare_dicke2k(n, k, amp))
-            gates += control(remap(circ, qmap, width), _sg_wire(n, a, k)).gates
-    return gates
+    families = [(_sg_wire(n, a, k), "xyz"[a], k, AmplitudeList(bodies[(a, k)]))
+                for k in range(n) for a in (0, 2, 1) if (a, k) in bodies]
+    return _literal_pr(3 * n, n, AmplitudeList(sub), families)
 
 
-def spin_glass_pr(p: SpinGlassParams, compressed: bool = True) -> Circuit:
+def spin_glass_pr(p: SpinGlassParams) -> Circuit:
     """PR oracle over 5n qubits (3n selector ancillae + the 2n check registers)."""
-    n = p.n
-    layout = {"subpr": (0, 3 * n), "x_anc": (3 * n, n), "z_anc": (4 * n, n)}
-    build = _spin_glass_pr_gates if compressed else _spin_glass_pr_gates_uncompressed
-    return Circuit(5 * n, tuple(build(p, 3 * n, 4 * n)), layout)
+    return _pr(spin_glass_encoding(p))
 
 
 def spin_glass_encoding(p: SpinGlassParams) -> BlockEncoding:
     n = p.n
-    xb, zb = 3 * n, 4 * n
-    layout = {"subpr": (0, 3 * n), "x_anc": (xb, n), "z_anc": (zb, n), "system": (5 * n, n)}
-    return _assemble(layout, _spin_glass_pr_gates(p, xb, zb), p.normalization())
+    return _assemble(3 * n, n, _spin_glass_pr_gates(p, 3 * n, 4 * n), p.normalization())
 
 
 # --- general two-body subroutines ---
@@ -395,8 +348,7 @@ def twobody_subroutine(kind: str, n: int, k: int,
         gates = dicke._body_gates(m, zq[:m], a)
         gates += [cnot(zq[i], xq[i]) for i in range(m)]
         gates += [cnot(zq[i], zq[i + k]) for i in reversed(range(m))]
-    layout = {"x_anc": (0, n), "z_anc": (n, n)}
-    return Circuit(2 * n, tuple(gates), layout)
+    return _pr(_assemble(0, n, gates, 1.0))
 
 
 def twobody_state_map(kind: str, n: int, k: int,

@@ -15,11 +15,12 @@ from foqcs.dicke import (
     AmplitudeList,
     dicke_state_map,
     prepare_dicke1,
-    prepare_dicke1_unbalanced,
     prepare_dicke2k,
     prepare_double,
 )
 from foqcs.encoder import (
+    _heisenberg_literal,
+    _spin_glass_literal,
     generic_foqcs,
     heisenberg_encoding,
     heisenberg_pr,
@@ -102,10 +103,10 @@ def test_criterion_03_dicke_counts(capsys):
     def body():
         for n in range(2, 33):
             assert count(prepare_dicke1(n)).cnot_equivalent == 2 * n - 2
-            assert count(prepare_double(n, "single")).cnot_equivalent == 3 * n - 2
+            assert count(prepare_double(n)).cnot_equivalent == 3 * n - 2
             for k in range(1, n):
                 assert count(prepare_dicke2k(n, k)).cnot_equivalent == 3 * n - 3 * k - 2
-                assert count(prepare_double(n, "pair", k)).cnot_equivalent == 4 * n - 3 * k - 2
+                assert count(prepare_double(n, k)).cnot_equivalent == 4 * n - 3 * k - 2
 
     _criterion(capsys, 3, "Dicke builder CNOT counts match the closed forms for all n<=32, k", body)
 
@@ -148,12 +149,12 @@ def test_criterion_05_dicke_amplitudes(capsys):
         for n in range(2, 11):
             r = assert_state(prepare_dicke1(n), dicke_state_map("d1", n), STATE_TOL)
             assert r.ok, ("d1", n)
-            r = assert_state(prepare_double(n, "single"), dicke_state_map("d1d", n), STATE_TOL)
+            r = assert_state(prepare_double(n), dicke_state_map("d1d", n), STATE_TOL)
             assert r.ok, ("d1d", n)
             for k in range(1, n):
                 r = assert_state(prepare_dicke2k(n, k), dicke_state_map("d2k", n, k), STATE_TOL)
                 assert r.ok, ("d2k", n, k)
-                r = assert_state(prepare_double(n, "pair", k),
+                r = assert_state(prepare_double(n, k),
                                  dicke_state_map("d2kd", n, k), STATE_TOL)
                 assert r.ok, ("d2kd", n, k)
         rng = np.random.default_rng(105)
@@ -165,13 +166,13 @@ def test_criterion_05_dicke_amplitudes(capsys):
             m = n if kind in ("d1", "d1d") else n - k
             a = AmplitudeList(rng.normal(size=m) + 1j * rng.normal(size=m))
             if kind == "d1":
-                circ = prepare_dicke1_unbalanced(n, a)
+                circ = prepare_dicke1(n, a)
             elif kind == "d1d":
-                circ = prepare_double(n, "single", a=a)
+                circ = prepare_double(n, a=a)
             elif kind == "d2k":
                 circ = prepare_dicke2k(n, k, a)
             else:
-                circ = prepare_double(n, "pair", k, a)
+                circ = prepare_double(n, k, a)
             r = assert_state(circ, dicke_state_map(kind, n, k, a), STATE_TOL)
             assert r.ok, (kind, n, k, r.max_abs_error)
 
@@ -235,13 +236,13 @@ def test_criterion_08_compression_soundness(capsys):
         rng = np.random.default_rng(108)
         for n in (2, 3, 4):
             p = random_heisenberg(n, rng)
-            a = simulate(heisenberg_pr(p, compact=True)).amps
-            b = simulate(heisenberg_pr(p, compact=False)).amps
+            a = simulate(heisenberg_pr(p)).amps
+            b = simulate(_heisenberg_literal(p)).amps
             assert np.abs(a - b).max() <= STATE_TOL, ("heisenberg", n)
         for n in (2, 3):
             p = random_spin_glass(n, rng)
-            a = simulate(spin_glass_pr(p, compressed=True)).amps
-            b = simulate(spin_glass_pr(p, compressed=False)).amps
+            a = simulate(spin_glass_pr(p)).amps
+            b = simulate(_spin_glass_literal(p)).amps
             assert np.abs(a - b).max() <= STATE_TOL, ("spin_glass", n)
 
     _criterion(capsys, 8, "compression rewrites hold on weight<=1 controls; compact and literal "

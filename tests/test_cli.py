@@ -660,6 +660,13 @@ def test_readme_commands_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_python_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("CountReport(cnot_equivalent=146, ")
+
+
 # SHARED_FLAGS are the flags a command used to give every model; READS are the
 # flags each (command, model) pair reads. A shared flag a pair does not read exits 2.
 HEISENBERG = ("--spec", "--n", "--seed", "--gx", "--gy", "--gz", "--jx", "--jy", "--jz")

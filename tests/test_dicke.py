@@ -16,7 +16,6 @@ from foqcs.dicke import (
     dicke_state_map,
     elementwise_copy,
     prepare_dicke1,
-    prepare_dicke1_unbalanced,
     prepare_dicke2k,
     prepare_double,
     staircase,
@@ -102,7 +101,7 @@ def test_unbalanced_prep_matches_amplitudes():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         a = random_amplitudes(rng, n)
-        st = simulate(prepare_dicke1_unbalanced(n, a))
+        st = simulate(prepare_dicke1(n, a))
         expected = {1 << l: a.alphas[l] for l in range(n)}
         ref = np.zeros(1 << n, complex)
         for i, v in expected.items():
@@ -169,9 +168,9 @@ def test_prepare_dicke1_balanced():
         prepare_dicke1(1)
 
 
-def test_prepare_dicke1_unbalanced_example():
+def test_prepare_dicke1_weighted_example():
     a = AmplitudeList([0.6, 0.8j])
-    st = simulate(prepare_dicke1_unbalanced(2, a))
+    st = simulate(prepare_dicke1(2, a))
     np.testing.assert_allclose(st.amps, [0, 0.6, 0.8j, 0], atol=1e-14)
 
 
@@ -187,13 +186,14 @@ def test_prepare_dicke2k():
 
 
 def test_prepare_double():
-    assert count(prepare_double(5, "single")).cnot_equivalent == 13
-    assert count(prepare_double(5, "pair", 1)).cnot_equivalent == 15
-    r = assert_state(prepare_double(2, "single"),
+    assert count(prepare_double(5)).cnot_equivalent == 13
+    assert count(prepare_double(5, 1)).cnot_equivalent == 15
+    r = assert_state(prepare_double(2),
                      {0b0101: 2 ** -0.5, 0b1010: 2 ** -0.5})
     assert r.ok
-    with pytest.raises(DomainError):
-        prepare_double(3, "pair")
+    for k in (0, 3):  # k alone picks the pair state, so it must be a separation
+        with pytest.raises(DomainError, match=r"k must be in \[1, 2\]"):
+            prepare_double(3, k)
 
 
 @pytest.mark.parametrize("kind", ["d1", "d1d", "d2k", "d2kd"])
@@ -205,24 +205,24 @@ def test_builders_match_closed_form(kind):
             if kind == "d1":
                 circ = prepare_dicke1(n)
             elif kind == "d1d":
-                circ = prepare_double(n, "single")
+                circ = prepare_double(n)
             elif kind == "d2k":
                 circ = prepare_dicke2k(n, k)
             else:
-                circ = prepare_double(n, "pair", k)
+                circ = prepare_double(n, k)
             r = assert_state(circ, dicke_state_map(kind, n, k), tol=1e-12)
             assert r.ok, (kind, n, k, r.max_abs_error)
             # unbalanced variant on random complex amplitudes
             m = n if kind in ("d1", "d1d") else n - k
             a = random_amplitudes(rng, m)
             if kind == "d1":
-                circ = prepare_dicke1_unbalanced(n, a)
+                circ = prepare_dicke1(n, a)
             elif kind == "d1d":
-                circ = prepare_double(n, "single", a=a)
+                circ = prepare_double(n, a=a)
             elif kind == "d2k":
                 circ = prepare_dicke2k(n, k, a)
             else:
-                circ = prepare_double(n, "pair", k, a)
+                circ = prepare_double(n, k, a)
             r = assert_state(circ, dicke_state_map(kind, n, k, a), tol=1e-12)
             assert r.ok, (kind, n, k, r.max_abs_error)
 
@@ -232,12 +232,12 @@ def test_hamming_weights():
     st = simulate(prepare_dicke2k(6, 2))
     for idx in np.nonzero(np.abs(st.amps) > 1e-12)[0]:
         assert bin(int(idx)).count("1") == 2
-    st = simulate(prepare_double(4, "pair", 1))
+    st = simulate(prepare_double(4, 1))
     for idx in np.nonzero(np.abs(st.amps) > 1e-12)[0]:
         idx = int(idx)
         lo, hi = idx & 0b1111, idx >> 4
         assert bin(lo).count("1") == 2 and bin(hi).count("1") == 2
-    st = simulate(prepare_double(4, "single"))
+    st = simulate(prepare_double(4))
     for idx in np.nonzero(np.abs(st.amps) > 1e-12)[0]:
         idx = int(idx)
         assert bin(idx & 0b1111).count("1") == 1 and bin(idx >> 4).count("1") == 1
@@ -246,10 +246,10 @@ def test_hamming_weights():
 def test_phase_gates_only_when_needed():
     # positive amplitudes need no phase corrections
     a = AmplitudeList([0.5, 0.5, math.sqrt(0.5)])
-    circ = prepare_dicke1_unbalanced(3, a)
+    circ = prepare_dicke1(3, a)
     assert all(g.kind != "phase" for g in circ.gates)
     b = AmplitudeList([0.5, 0.5j, math.sqrt(0.5)])
-    circ = prepare_dicke1_unbalanced(3, b)
+    circ = prepare_dicke1(3, b)
     assert sum(1 for g in circ.gates if g.kind == "phase") == 1
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from foqcs.circuit import count, lower
+from foqcs.circuit import Circuit, count, lower
 from foqcs.dicke import AmplitudeList
 from foqcs.encoder import (
-    CoefficientMatrix,
+    _heisenberg_literal,
+    _sg_tables,
+    _spin_glass_literal,
     generic_foqcs,
     heisenberg_encoding,
     heisenberg_pr,
@@ -137,9 +139,8 @@ def test_heisenberg_pr_state():
     for n in (2, 3, 4):
         p = random_heisenberg(n, rng)
         ref = heisenberg_pr_expected(p)
-        for compact in (True, False):
-            st = simulate(heisenberg_pr(p, compact=compact)).amps
-            np.testing.assert_allclose(st, ref, atol=1e-12)
+        for circ in (heisenberg_pr(p), _heisenberg_literal(p)):
+            np.testing.assert_allclose(simulate(circ).amps, ref, atol=1e-12)
 
 
 def test_heisenberg_pr_sparsity():
@@ -210,10 +211,11 @@ def spin_glass_pr_expected(p):
     n, norm = p.n, p.normalization()
     xb, zb = 3 * n, 4 * n
     ref = np.zeros(1 << (5 * n), complex)
-    cm = CoefficientMatrix.from_params(p)
     for a, axis in enumerate(("x", "y", "z")):
         for k in range(n):
-            nk = cm.diag_norms[a, k]
+            coeffs = [p.J[a, l, l + k] if k else p.g[a, l] for l in range(n - k)]
+            root = np.sqrt(np.array(coeffs, dtype=complex))
+            nk = float(np.sum(np.abs(root) ** 2))
             if nk < 1e-14:
                 continue
             wire = 3 * (n - k) - SG_WIRE_OFF[axis]
@@ -221,7 +223,7 @@ def spin_glass_pr_expected(p):
                 sub = np.sqrt(-1j * nk / norm) if k == 0 else np.sqrt(-nk / norm + 0j)
             else:
                 sub = math.sqrt(nk / norm)
-            cbar = cm.normalized_diagonal(a, k)
+            cbar = root / math.sqrt(nk)
             for l in range(n - k):
                 pat = (1 << l) | (1 << (l + k)) if k else (1 << l)
                 if axis == "x":
@@ -234,13 +236,12 @@ def spin_glass_pr_expected(p):
     return ref
 
 
-def test_coefficient_matrix_normalized_diagonals():
+def test_sg_tables_bodies_have_unit_norm():
     p = random_spin_glass(4, np.random.default_rng(18))
-    cm = CoefficientMatrix.from_params(p)
-    for a in range(3):
-        for k in range(4):
-            d = cm.normalized_diagonal(a, k)
-            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    _, bodies = _sg_tables(p)
+    assert sorted(bodies) == [(a, k) for a in range(3) for k in range(4)]
+    for body in bodies.values():
+        assert np.linalg.norm(body) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spin_glass_pr_state():
@@ -248,9 +249,8 @@ def test_spin_glass_pr_state():
     for n in (2, 3):
         p = random_spin_glass(n, rng)
         ref = spin_glass_pr_expected(p)
-        for compressed in (True, False):
-            st = simulate(spin_glass_pr(p, compressed=compressed)).amps
-            np.testing.assert_allclose(st, ref, atol=1e-12)
+        for circ in (spin_glass_pr(p), _spin_glass_literal(p)):
+            np.testing.assert_allclose(simulate(circ).amps, ref, atol=1e-12)
 
 
 def test_spin_glass_diagonal_only():
@@ -364,6 +364,33 @@ def test_per_oracle_count_breakdown():
         cr = count(spin_glass_pr(random_spin_glass(n, rng)))
         assert 12 * n * n + 11 * n - 10 <= cr.cnot_equivalent <= 15 * n * n + 14 * n - 10
         assert cr.toffoli == n * n
+
+
+def _assert_tiles(layout, width, subpr, n):
+    # [subpr | x_anc | z_anc | system] in key order, no subpr register when it is empty
+    names = (["subpr"] if subpr else []) + ["x_anc", "z_anc", "system"]
+    assert list(layout) == names
+    end = 0
+    for name, (start, size) in layout.items():
+        assert (start, size) == (end, subpr if name == "subpr" else n), name
+        end += size
+    assert end == width
+
+
+def test_every_layout_tiles_the_width_in_one_register_order():
+    rng = np.random.default_rng(26)
+    for n in (2, 3, 4):
+        hp, sp = random_heisenberg(n, rng), random_spin_glass(n, rng)
+        h = PauliSum(n, [PauliTerm(0.5, "X" * n), PauliTerm(-0.3, "Y" * n)])
+        hbe, sbe = heisenberg_encoding(hp), spin_glass_encoding(sp)
+        for be, subpr in ((generic_foqcs(h), 0), (hbe, 6), (sbe, 3 * n)):
+            _assert_tiles(be.layout, be.width, subpr, n)
+        _assert_tiles(select_oracle(n).layout, select_oracle(n).width, 0, n)
+        # PR is the encoding's prep over the ancilla registers below the system
+        for pr, be in ((heisenberg_pr(hp), hbe), (spin_glass_pr(sp), sbe)):
+            ancillae = {k: v for k, v in be.layout.items() if k != "system"}
+            assert pr == Circuit(be.layout["system"][0], be.prep, ancillae)
+            assert list(pr.layout) == list(ancillae)
 
 
 def test_every_encoder_returns_one_block_encoding_type():

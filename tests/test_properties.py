@@ -21,7 +21,14 @@ from foqcs.circuit import (
     lower,
     parse_qasm,
 )
-from foqcs.encoder import heisenberg_encoding, heisenberg_pr, spin_glass_encoding, spin_glass_pr
+from foqcs.encoder import (
+    _heisenberg_literal,
+    _spin_glass_literal,
+    heisenberg_encoding,
+    heisenberg_pr,
+    spin_glass_encoding,
+    spin_glass_pr,
+)
 from foqcs.models import (
     HEISENBERG_FIELDS,
     HeisenbergParams,
@@ -429,10 +436,10 @@ def _assert_same_state_from_zero(a: Circuit, b: Circuit):
 @ZERO_COUPLING_SETTINGS
 @given(sparse_spin_glasses())
 def test_compressed_spin_glass_pr_matches_literal(p):
-    _assert_same_state_from_zero(spin_glass_pr(p), spin_glass_pr(p, compressed=False))
+    _assert_same_state_from_zero(spin_glass_pr(p), _spin_glass_literal(p))
 
 
 @ZERO_COUPLING_SETTINGS
 @given(sparse_heisenbergs())
 def test_compact_heisenberg_pr_matches_literal(p):
-    _assert_same_state_from_zero(heisenberg_pr(p), heisenberg_pr(p, compact=False))
+    _assert_same_state_from_zero(heisenberg_pr(p), _heisenberg_literal(p))

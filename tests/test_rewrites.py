@@ -174,24 +174,24 @@ def test_shared_gamma_shell():
 
 
 def test_compact_heisenberg_matches_literal():
-    from foqcs.encoder import heisenberg_pr
+    from foqcs.encoder import _heisenberg_literal, heisenberg_pr
     from foqcs.models import random_heisenberg
 
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
         p = random_heisenberg(n, rng)
-        a = simulate(heisenberg_pr(p, compact=True)).amps
-        b = simulate(heisenberg_pr(p, compact=False)).amps
+        a = simulate(heisenberg_pr(p)).amps
+        b = simulate(_heisenberg_literal(p)).amps
         assert np.abs(a - b).max() <= 1e-12
 
 
 def test_compressed_spin_glass_matches_literal():
-    from foqcs.encoder import spin_glass_pr
+    from foqcs.encoder import _spin_glass_literal, spin_glass_pr
     from foqcs.models import random_spin_glass
 
     rng = np.random.default_rng(32)
     for n in (2, 3):
         p = random_spin_glass(n, rng)
-        a = simulate(spin_glass_pr(p, compressed=True)).amps
-        b = simulate(spin_glass_pr(p, compressed=False)).amps
+        a = simulate(spin_glass_pr(p)).amps
+        b = simulate(_spin_glass_literal(p)).amps
         assert np.abs(a - b).max() <= 1e-12
