@@ -6,25 +6,26 @@ arity, whether it takes an angle, its exact unitary, its adjoint, its lowering
 onto the target set {x, h, s, sdg, ry, rz, phase, cnot, cz} (None for those
 nine), its controlled counterpart and its OpenQASM name. Gate, control, lower,
 dagger, export_qasm, parse_qasm and the simulator's gate_unitary each read one
-column; GATE_KINDS, LOWERED_KINDS, PERMUTATION_ROWS, DIAGONAL_KINDS, the
-per-kind cost that count sums and the QASM parser's name map are derived from
-it at import. A new kind is one row plus its constructor, which builds the
-Gate tuple directly and checks what its signature leaves open (distinct
-operands, a finite angle).
+column; GATE_KINDS, LOWERED_KINDS, PERMUTATION_ROWS, DIAGONAL_KINDS,
+SELF_TRANSPOSE_KINDS, the per-kind cost that count sums and the QASM parser's
+name map are derived from it at import. A new kind is one row plus its
+constructor, which builds the Gate tuple directly and checks what its
+signature leaves open (distinct operands, a finite angle).
 
-Every exporter formats through one function (_formatter), on three levels.
-Per kind, a text skeleton is read once per process off the rule that the
-exporter applies: the gate as it is, its lowering or its lowered adjoint
-(_skeletons). Per distinct (kind, angle), the rule runs once on placeholder
-operands and its angles are formatted into the skeleton. Per distinct gate,
-one str.format fills in the operands. export_qasm and Circuit.to_json format
-with lowering off. export_lowered writes the lowered QASM and JSON of a
-circuit, or of an encoding's PR, SELECT and PR-transpose, in one walk,
-without building the flat or the lowered circuit. A gate equals and hashes as
-its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but these print
-differently; every memo key (_per_distinct_gate) therefore holds the angle's
-type and the sign of a zero angle as well, and the output is byte for byte
-that of formatting every gate.
+Every exporter formats through one function (_formatter), memoized on three
+levels. Per kind, a text skeleton is read once per process off the rule that
+the exporter applies: the gate as it is, its lowering or its lowered adjoint
+(_skeletons). Per distinct (kind, angle), the rule runs once on a placeholder
+gate, built only then, and its angles go into the skeleton (_templates). Per
+distinct gate, one str.format fills in the operands. export_qasm and
+Circuit.to_json format with lowering off. export_lowered writes the lowered
+QASM and JSON of a circuit, or of an encoding's PR, SELECT and PR-transpose,
+in one walk, without building the flat or the lowered circuit; PR-transpose
+reuses the text of each gate of SELF_TRANSPOSE_KINDS. A gate equals and
+hashes as its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but these
+print differently; every memo key therefore holds the angle's type and the
+sign of a zero angle as well (_per_distinct_gate), and the output is byte
+for byte that of formatting every gate.
 
 Qubit indices are little-endian (qubit q = bit q of a basis index). A
 unitary's local bit i is the gate's operand qubits[i], controls first.
@@ -668,11 +669,19 @@ def dagger_gates(gates) -> list[Gate]:
     return out
 
 
+# Kinds that are their own transpose: the diagonal kinds, and those whose
+# adjoint rule returns an exemplar gate (as _shape takes it) itself: x, h,
+# cnot, cz and toffoli.
+SELF_TRANSPOSE_KINDS = DIAGONAL_KINDS | {
+    kind for kind, row in KINDS.items() if row.adjoint is not None
+    for g in [_placeholder(kind, 1.0 if row.angled else None)] if row.adjoint(g) == [g]}
+
+
 def transpose_gates(gates) -> list[Gate]:
-    """Exact transpose of a gate sequence: a diagonal kind is its own transpose,
-    and every other kind is real, so its transpose is its adjoint."""
+    """Exact transpose of a gate sequence: a gate of SELF_TRANSPOSE_KINDS is its
+    own, and every other kind is real, so its transpose is its adjoint."""
     return [t for g in reversed(gates)
-            for t in ([g] if g.kind in DIAGONAL_KINDS else dagger_gates([g]))]
+            for t in ([g] if g.kind in SELF_TRANSPOSE_KINDS else dagger_gates([g]))]
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -736,7 +745,7 @@ def _itself(g: Gate) -> list[Gate]:
 
 def _lowered_adjoint(g: Gate) -> list[Gate]:
     """The lowering of g's adjoint, the transpose of a gate of a kind not in
-    DIAGONAL_KINDS (transpose_gates)."""
+    SELF_TRANSPOSE_KINDS (transpose_gates)."""
     return [low for t in dagger_gates([g]) for low in _lower_gate(t)]
 
 
@@ -749,17 +758,21 @@ def _skeletons(rule: Callable[[Gate], list[Gate]], kind: str) -> tuple[str | Non
     return _skeleton(_shape(rule, kind))
 
 
+_qasm_angle = "{:.17g}".format  # format(a, ".17g"), an angle in OpenQASM
+
+
+def _json_angle(a) -> str:  # as json.dumps writes it; a float subclass too, as a float
+    return float.__repr__(a) if isinstance(a, float) else json.dumps(a)
+
+
 def _templates(skeleton: tuple[str | None, str], gates: list[Gate]) -> tuple[str | None, str]:
-    """skeleton's QASM and JSON with the angles of gates in, formatted as
-    OpenQASM (.17g) and as json.dumps writes them (a float, a float subclass
-    such as np.float64 too, with float.__repr__)."""
+    """skeleton's QASM and JSON with the angles of gates in."""
     qasm, objs = skeleton
     angles = [g.angle for g in gates if g.angle is not None]
     if not angles:
         return qasm, objs
-    return (None if qasm is None else qasm % tuple([format(a, ".17g") for a in angles]),
-            objs % tuple([float.__repr__(a) if isinstance(a, float) else json.dumps(a)
-                          for a in angles]))
+    return (None if qasm is None else qasm % tuple(map(_qasm_angle, angles)),
+            objs % tuple(map(_json_angle, angles)))
 
 
 def _formatter(ref: list[str] | None, rule: Callable[[Gate], list[Gate]]
@@ -768,16 +781,20 @@ def _formatter(ref: list[str] | None, rule: Callable[[Gate], list[Gate]]
     is (_itself), its lowering (_lower_gate) or its lowered adjoint.
 
     Every exporter formats through it. The templates are made once per
-    distinct (kind, angle), by the rule run on the placeholder operands; each
-    distinct gate then costs one str.format per text, with its operands'
-    names: ref[q] in QASM, q in JSON. Without ref the QASM is None (to_json
-    of any circuit).
+    distinct (kind, angle), by the rule run on a placeholder gate, which is
+    built only then; each distinct gate then costs one str.format per text,
+    with its operands' names: ref[q] in QASM, q in JSON. Without ref the QASM
+    is None (to_json of any circuit).
     """
-    templates = _per_distinct_gate(lambda p: _templates(_skeletons(rule, p.kind), rule(p)))
+    templates: dict = {}
+    copysign = math.copysign
 
     @_per_distinct_gate
     def text(g: Gate) -> tuple[str | None, str]:
-        qasm, objs = templates(_placeholder(g.kind, g.angle))
+        kind, _, a = g  # the template key is _per_distinct_gate's without the operands
+        key = (kind, a) if a is None else (kind, a, type(a), copysign(1.0, a))
+        qasm, objs = templates.get(key) or templates.setdefault(
+            key, _templates(_skeletons(rule, kind), rule(_placeholder(kind, a))))
         if ref is None:
             return None, objs.format(*g.qubits)
         if qasm is None:
@@ -800,17 +817,17 @@ def export_lowered(c: Circuit | BlockEncoding) -> Iterator[str]:
 
     Neither the flat nor the lowered circuit is built: one walk over PR and
     SELECT formats each gate, lowered, through _formatter. PR's transpose is
-    PR reversed with each gate's transpose in place (transpose_gates): a
-    diagonal gate is its own, so its text is reused, and any other gate's is
-    its adjoint, formatted lowered through the same function. The JSON is
-    joined only after the QASM is taken, so a caller can write the QASM and
-    drop it first.
+    PR reversed with each gate's transpose in place (transpose_gates): a gate
+    of a kind in SELF_TRANSPOSE_KINDS is its own, so its forward text is
+    reused, and only the other gates' transposes, their adjoints, are
+    formatted, lowered, through the same function. The JSON is joined only
+    after the QASM is taken, so a caller can write the QASM and drop it first.
     """
     prep, mid = (c.prep, c.select.gates) if isinstance(c, BlockEncoding) else ((), c.gates)
     head, ref = _qasm_head(c)
     text, adjoint = _formatter(ref, _lower_gate), _formatter(ref, _lowered_adjoint)
     pr = [*map(text, prep)]
-    texts = [*pr, *map(text, mid), *(t if g.kind in DIAGONAL_KINDS else adjoint(g)
+    texts = [*pr, *map(text, mid), *(t if g.kind in SELF_TRANSPOSE_KINDS else adjoint(g)
                                      for g, t in zip(reversed(prep), reversed(pr)))]
     yield "\n".join([*head, *[q for q, _ in texts]]) + "\n"
     yield _json_text(c, [j for _, j in texts])

@@ -189,11 +189,11 @@ def _sg_wire(n: int, axis: int, k: int) -> int:
 def _sg_tables(p: SpinGlassParams):
     """The selector amplitudes and, per nonzero (axis, k), the unit-norm body:
     the square-rooted diagonal (g[a] at k = 0, J[a]'s k-th diagonal above)
-    over the square root of its absolute coupling mass."""
+    over the square root of its absolute coupling mass, as Python complexes."""
     n = p.n
     norm = p.normalization()
     sub = np.zeros(3 * n, dtype=complex)
-    bodies: dict[tuple[int, int], np.ndarray] = {}
+    bodies: dict[tuple[int, int], list[complex]] = {}
     for a in range(3):
         for k in range(n):
             diag = np.sqrt((np.diagonal(p.J[a], k) if k else p.g[a]).astype(complex))
@@ -205,7 +205,7 @@ def _sg_tables(p: SpinGlassParams):
             else:
                 factor = math.sqrt(nk / norm)
             sub[_sg_wire(n, a, k)] = factor
-            bodies[(a, k)] = diag / math.sqrt(nk)
+            bodies[(a, k)] = (diag / math.sqrt(nk)).tolist()
     return sub, bodies
 
 

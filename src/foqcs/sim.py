@@ -53,6 +53,9 @@ from .errors import ENTRY_BUDGET_BITS, DomainError, check_entries
 # After a mixing gate, a truncating sparse run drops every amplitude with
 # 0 < |amp| <= TRUNCATION and reports the 2-norm it dropped.
 TRUNCATION = 1e-14
+# log2 of the entries an extract_block SELECT pass starts from, per index dtype:
+# an object entry costs about 230 B at a pass's peak, so its passes stay ~15 MB.
+PASS_BITS = {np.int64: ENTRY_BUDGET_BITS, object: 16}
 
 
 @dataclass
@@ -303,22 +306,22 @@ def extract_block(be, reference: np.ndarray | None = None) -> BlockReport:
     <0_anc| PL-dagger is v^T: v itself serves as both ket and bra. SELECT then
     runs sparse, untruncated, on many columns per pass: column b starts as
     v x |b>, with b copied into n extra bits above the top qubit that no gate
-    reads, so the columns never mix. A pass starts from at most
-    2**min(sys_start, ENTRY_BUDGET_BITS) entries (all columns when v is
-    sparse, one when v is dense), never from nnz(v) * 2**n ~ 2**width. The
-    indices take the dtype of width + n bits (_index_dtype). Each output entry
-    whose ancilla part is in the support of v adds v_anc times its amplitude
-    to block[row, b]; any other entry meets a zero of the bra. The per-input
-    post-selection probability is the squared norm of column b. It and the
-    error against `reference` are read a slab of columns at a time, so no
-    temporary the size of the block is formed.
+    reads, so the columns never mix. The indices take the dtype of width + n
+    bits (_index_dtype), and a pass starts from at most 2**min(sys_start,
+    PASS_BITS[dtype]) entries (on int64, all columns when v is sparse; one
+    when v is dense), never from nnz(v) * 2**n ~ 2**width; no byte depends on
+    the pass size. Each output entry whose ancilla part is in the support of v
+    adds v_anc times its amplitude to block[row, b]; any other entry meets a
+    zero of the bra. The per-input post-selection probability is the squared
+    norm of column b. It and the error against `reference` are read a slab of
+    columns at a time, so no temporary the size of the block is formed.
     """
     sys_start, n = be.layout["system"]
     check_entries(f"the 2^{n} x 2^{n} block", 1, 2 * n)
     dtype = _index_dtype(be.width + n)
     v_idx, v, delta = _run_sparse(be.prep, np.zeros(1, dtype=dtype),
                                   np.ones(1, dtype=complex), truncate=True)
-    dim, step = 1 << n, max(1, (1 << min(sys_start, ENTRY_BUDGET_BITS)) // v_idx.size)
+    dim, step = 1 << n, max(1, (1 << min(sys_start, PASS_BITS[dtype])) // v_idx.size)
     block = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, dim, step):
         b = np.arange(lo, min(lo + step, dim), dtype=dtype)[:, None]

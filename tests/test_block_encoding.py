@@ -13,6 +13,7 @@ from foqcs.circuit import (
     DIAGONAL_KINDS,
     GATE_KINDS,
     KINDS,
+    SELF_TRANSPOSE_KINDS,
     BlockEncoding,
     Circuit,
     Gate,
@@ -100,6 +101,25 @@ def test_transpose_rule_holds_for_every_kind(kind):
         t = Circuit(row.arity, tuple(transpose_gates([g])))
         np.testing.assert_allclose(circuit_unitary(t), circuit_unitary(Circuit(row.arity, (g,))).T,
                                    atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_gate_is_its_own_transpose_exactly_when_its_kind_is_self_transpose(kind):
+    # export_lowered reuses a gate's forward text as its transpose's for the
+    # kinds in SELF_TRANSPOSE_KINDS, so the two must print the same. repr tells
+    # the zero signs apart, which == does not: ry(0.0)'s transpose ry(-0.0)
+    # equals it but prints differently.
+    row = KINDS[kind]
+    rng = np.random.default_rng(23)
+    angles = [1.0, 0.0, -0.0, *(float(a) for a in rng.uniform(-4, 4, 3))]
+    for angle in angles if row.angled else [None]:
+        for qubits in (tuple(range(row.arity)), tuple(range(row.arity))[::-1]):
+            g = Gate(kind, qubits, angle)
+            if row.adjoint is None:  # cgamma: prep must not hold it
+                assert kind not in SELF_TRANSPOSE_KINDS
+                continue
+            itself = repr(transpose_gates([g])) == repr([g])
+            assert itself == (kind in SELF_TRANSPOSE_KINDS), (kind, angle)
 
 
 def test_transpose_of_a_sequence_reverses_it():

@@ -11,6 +11,7 @@ from foqcs.circuit import (
     KINDS,
     LOWERED_KINDS,
     PERMUTATION_ROWS,
+    SELF_TRANSPOSE_KINDS,
     BlockEncoding,
     Circuit,
     Gate,
@@ -462,6 +463,7 @@ def test_permutation_rows_hold_at_every_angle():
             assert moves is None, kind  # at the random angle, or h at none
     assert set(PERMUTATION_ROWS) == {"x", "cnot", "toffoli", *DIAGONAL_KINDS}
     assert DIAGONAL_KINDS == {"s", "sdg", "rz", "phase", "cz", "crz", "cphase"}
+    assert SELF_TRANSPOSE_KINDS == DIAGONAL_KINDS | {"x", "h", "cnot", "toffoli"}
 
 
 def test_every_lowering_keeps_to_the_operands_of_its_gate():

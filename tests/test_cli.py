@@ -240,6 +240,40 @@ def test_encode_files_are_byte_identical_to_the_golden_digests(tmp_path, args, d
                  for f in files) == digests
 
 
+# sha256 of (circuit.qasm, circuit.json, meta.json) of `encode generic` on a
+# fixed spec and of `encode dicke --kind d2kdu`, as written before PR's
+# transpose reused the text of every gate that is its own transpose. The
+# generic PR holds cnot, rz and ry gates, so its transpose reuses texts and
+# formats the ry gates' lowered adjoints; the Dicke circuit has no PR.
+GENERIC_SPEC = {"n": 3, "terms": [
+    {"coeff": [0.7, 0], "ops": "XZY"}, {"coeff": [-0.3, 0], "ops": "ZZI"},
+    {"coeff": [0.25, 0], "ops": "IXX"}, {"coeff": [0.5, 0], "ops": "YIZ"},
+    {"coeff": [1.1, 0], "ops": "III"}]}
+GOLDEN_SPEC_EXPORTS = [
+    ("generic --spec SPEC",
+     ("e5794339aed303ae3226eba7cef4ab68e14464385b418e931fba2b071273f47f",
+      "ee62886b86eae672e90f10fef617e6ffc47e942bf8dc72edcd59ba3a11be382e",
+      "77ef3fc5cd30f6dccef45639b9ba7e02e47a139629dbd0d9affe7998f42967ab")),
+    ("dicke --kind d2kdu --n 4 --k 1 --alphas [[0.6,0],[0,0.6],[0.52915026221,0]]",
+     ("5b736151c8a42f1600416eaf30a79c4b468e0b5814a972a69c031e9ab9f1d288",
+      "2818b5f1d5f0934f2e7e5879f93f5e7c8a5571a52736d60bf3714b32341e6a42",
+      "e154db35f0e67bc80e4fa894f3a70620ac779ae9b432d1f251114893803a28e2")),
+]
+
+
+@pytest.mark.parametrize("args, digests", GOLDEN_SPEC_EXPORTS,
+                         ids=[a.split(" --")[0] for a, _ in GOLDEN_SPEC_EXPORTS])
+def test_generic_and_dicke_files_are_byte_identical_to_the_golden_digests(tmp_path, args,
+                                                                          digests):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GENERIC_SPEC))
+    out = tmp_path / "out"
+    assert main(["encode", *args.replace("SPEC", str(spec)).split(), "-o", str(out)]) == 0
+    files = ("circuit.qasm", "circuit.json", "meta.json")
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in files) == digests
+
+
 # sha256 of the stdout of the block_verify and state_verify benchmarks'
 # commands at benchmark seeds 1-3, as printed before the sparse driver moved
 # permutation gates without the kernel. The reports hold every error and

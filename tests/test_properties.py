@@ -177,6 +177,32 @@ def test_export_lowered_equals_the_exports_of_lower(c):
     assert list(export_lowered(c)) == [export_qasm(low), low.to_json()]
 
 
+@st.composite
+def every_kind_encodings(draw):
+    """A block encoding on 3 ancillae whose PR repeats one gate of every kind
+    with a transpose: 1-3 copies each, with angles from TYPED_ANGLES, in a
+    random order, below a random SELECT on 1 or 2 system qubits."""
+    width = 3 + draw(st.integers(1, 2))
+    prep = []
+    for kind in EXACT_KINDS:
+        arity, angled = GATE_KINDS[kind]
+        qubits = tuple(draw(st.permutations(range(3)))[:arity])
+        prep += [Gate(kind, qubits, draw(TYPED_ANGLES) if angled else None)
+                 for _ in range(draw(st.integers(1, 3)))]
+    select = Circuit(width, _gates(draw, width, EXACT_KINDS, TYPED_ANGLES),
+                     {"anc": (0, 3), "system": (3, width - 3)})
+    return BlockEncoding(select, 1.0, tuple(draw(st.permutations(prep))))
+
+
+@PROPERTY_SETTINGS
+@given(every_kind_encodings())
+def test_export_lowered_of_every_transposable_kind_equals_the_exports_of_lower(be):
+    # PR's transpose reuses the forward text of each gate in
+    # SELF_TRANSPOSE_KINDS and formats the others' adjoints.
+    low = lower(be.circuit)
+    assert list(export_lowered(be)) == [export_qasm(low), low.to_json()]
+
+
 def _distinct(values) -> int:
     """How many distinct values, told apart by repr as the exporters must: 0.0,
     -0.0, 0, False and np.float64(0.0) are equal but print differently."""
@@ -185,49 +211,66 @@ def _distinct(values) -> int:
 
 def test_each_exporter_formats_each_distinct_gate_once(monkeypatch):
     # SELECT: 14 gates, 10 distinct, of 6 distinct (kind, angle): h, cnot, rz
-    # 0.0, -0.0 and int 0, and cry 0.5. PR: ry 0.3 twice, a diagonal rz and a
-    # gamma.
+    # 0.0, -0.0 and int 0, and cry 0.5. PR: ry 0.3 twice, a diagonal rz, a
+    # gamma, and a toffoli twice, an h and a cnot, which are their own
+    # transposes.
     built = [circuit.h(2), circuit.h(2), circuit.h(3), circuit.cnot(2, 3), circuit.cnot(2, 3),
              circuit.cnot(0, 3), circuit.rz(0.0, 3), circuit.rz(-0.0, 3), Gate("rz", (3,), 0),
              circuit.rz(0.0, 3), circuit.rz(0.0, 2), circuit.cry(0.5, 0, 2),
              circuit.cry(0.5, 0, 2), circuit.cry(0.5, 1, 3)]
-    prep = (circuit.ry(0.3, 0), circuit.ry(0.3, 0), circuit.rz(0.1, 1), circuit.gamma(0.2, 0, 1))
-    be = BlockEncoding(Circuit(4, tuple(built), {"anc": (0, 2), "system": (2, 2)}), 1.0, prep)
-    per_distinct_gate = circuit._per_distinct_gate
-    calls = []
+    prep = (circuit.ry(0.3, 0), circuit.ry(0.3, 0), circuit.rz(0.1, 1), circuit.gamma(0.2, 0, 1),
+            circuit.toffoli(0, 1, 2), circuit.h(1), circuit.cnot(1, 2), circuit.toffoli(0, 1, 2))
+    be = BlockEncoding(Circuit(5, tuple(built), {"anc": (0, 3), "system": (3, 2)}), 1.0, prep)
+    per_distinct_gate, templates = circuit._per_distinct_gate, circuit._templates
+    # Per gate memo, in the order made: [templates made, gates formatted]. A
+    # template is made inside the memo's call for the gate that needs it, so
+    # it counts to the memo whose call is running.
+    calls, running = [], []
 
     def counting(fn):
         i = len(calls)
-        calls.append(0)
+        calls.append([0, 0])
 
         def counted(g):
-            calls[i] += 1
-            return fn(g)
+            calls[i][1] += 1
+            running.append(i)
+            try:
+                return fn(g)
+            finally:
+                running.pop()
 
         return per_distinct_gate(counted)
 
-    def calls_of(export) -> list[int]:
+    def counting_templates(*args):
+        calls[running[-1]][0] += 1
+        return templates(*args)
+
+    def calls_of(export) -> list[list[int]]:
         calls.clear()
         export()
-        return list(calls)
+        return calls[:]
 
     def once_each(gates) -> list[int]:
         # one template per distinct (kind, angle), one text per distinct gate
         return [_distinct((g.kind, g.angle) for g in gates), _distinct(gates)]
 
     monkeypatch.setattr(circuit, "_per_distinct_gate", counting)
+    monkeypatch.setattr(circuit, "_templates", counting_templates)
     # export_lowered formats PR and SELECT lowered, and the two distinct PR
-    # gates that are not diagonal (ry 0.3 and the gamma) as lowered adjoints;
-    # the rz is its own transpose and reuses its text.
+    # gates outside SELF_TRANSPOSE_KINDS (ry 0.3 and the gamma) as lowered
+    # adjoints; the rz, toffoli, h and cnot are their own transposes and reuse
+    # their text.
     fwd = be.prep + be.select.gates
-    assert once_each(fwd) == [9, 13]
-    assert calls_of(lambda: list(export_lowered(be))) == [9, 13, 2, 2]
+    assert once_each(fwd) == [10, 16]
+    outside = [g for g in prep if g.kind not in circuit.SELF_TRANSPOSE_KINDS]
+    assert once_each(outside) == [2, 2]
+    assert calls_of(lambda: list(export_lowered(be))) == [[10, 16], [2, 2]]
     flat = be.circuit.gates
-    assert calls_of(lambda: lower(be.circuit)) == [_distinct(flat)] == [21]
+    assert calls_of(lambda: lower(be.circuit)) == [[0, _distinct(flat)]] == [[0, 23]]
     low = lower(be.circuit)
-    assert calls_of(lambda: export_qasm(low)) == once_each(low.gates)
-    assert calls_of(low.to_json) == once_each(low.gates)
-    assert calls_of(be.select.to_json) == [6, 10]
+    assert calls_of(lambda: export_qasm(low)) == [once_each(low.gates)]
+    assert calls_of(low.to_json) == [once_each(low.gates)]
+    assert calls_of(be.select.to_json) == [[6, 10]]
 
 
 @PROPERTY_SETTINGS

@@ -554,6 +554,38 @@ def test_extract_block_of_the_widest_spin_glass_stays_small():
     assert 0 < rep.truncation and rep.within(1e-10), rep.max_abs_error
 
 
+def test_extract_block_passes_on_object_indices_change_no_byte(monkeypatch):
+    # Spin glass n = 9: width 54 plus 9 column bits is past int64, and v has
+    # 135 nonzeros, so an object pass of 2^16 entries takes 485 of the 512
+    # columns, and one of 2^10 entries takes 7. Each column lies in one pass
+    # and reaches np.add.at in the same order, so no byte of the block or the
+    # probabilities depends on the pass size.
+    from foqcs.encoder import heisenberg_encoding, spin_glass_encoding
+    from foqcs.models import random_heisenberg, random_spin_glass
+
+    run_sparse, starts = sim._run_sparse, []
+
+    def counted(gates, idx, *args, **kwargs):
+        starts.append(idx.size)
+        return run_sparse(gates, idx, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_sparse", counted)
+    be = spin_glass_encoding(random_spin_glass(9, np.random.default_rng(1)))
+    want = extract_block(be)
+    assert starts == [1, 485 * 135, 27 * 135]
+    starts.clear()
+    monkeypatch.setitem(sim.PASS_BITS, object, 10)
+    got = extract_block(be)
+    assert starts == [1, *[7 * 135] * 73, 135]
+    assert got.block.tobytes() == want.block.tobytes()
+    assert got.postselect_probability.tobytes() == want.postselect_probability.tobytes()
+    # int64 passes keep the whole entry budget: Heisenberg n = 4 (v has 21
+    # nonzeros on 14 ancillae) runs its 16 columns in one pass.
+    starts.clear()
+    extract_block(heisenberg_encoding(random_heisenberg(4, np.random.default_rng(1))))
+    assert starts == [1, 16 * 21]
+
+
 def test_assert_state_stays_on_the_support():
     # A dense vector at width 20 would take 16 MiB; the support takes 20 entries.
     from foqcs.dicke import dicke_state_map, prepare_dicke1
