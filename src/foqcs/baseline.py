@@ -9,6 +9,8 @@ oracle resolves each |m>-control with a clean-ancilla Toffoli chain.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .circuit import (
     cnot,
     cz,
     phase,
+    ry,
     rz,
     s,
     sdg,
@@ -47,35 +50,40 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _mux_rotation(kind: str, target: int, controls: list[int],
+def _mux_rotation(rotation: Callable[[float, int], Gate], target: int, controls: list[int],
                   angles: np.ndarray, gates: list[Gate]) -> None:
-    """Emit a multiplexed rotation; angles[p] acts when bit i of p equals
-    the value of controls[i]. All-zero multiplexors emit nothing; zero
+    """Emit a multiplexed rotation (ry or rz); angles[p] acts when bit i of p
+    equals the value of controls[i]. All-zero multiplexors emit nothing; zero
     Gray-code rotations are skipped with their frame CNOTs cancelled."""
     j = len(controls)
     if j == 0:
         if abs(angles[0]) > _ANGLE_TOL:
-            gates.append(Gate(kind, (target,), float(angles[0])))
+            gates.append(rotation(angles[0], target))
         return
     if np.max(np.abs(angles)) <= _ANGLE_TOL:
         return
     dim = 1 << j
     w = _fwht(np.asarray(angles, dtype=float))
     gray = np.arange(dim) ^ (np.arange(dim) >> 1)
-    phi = w[gray] / dim
+    # The controls whose frame bit flips after step g: gray[g] ^ gray[g + 1],
+    # and after the last step the walk closes back to gray[0].
+    flips = (gray ^ np.roll(gray, -1)).tolist()
     pending = 0
-    for g in range(dim):
-        if abs(phi[g]) > _ANGLE_TOL:
-            for i in range(j):
-                if (pending >> i) & 1:
-                    gates.append(cnot(controls[i], target))
+    for phi, flip in zip((w[gray] / dim).tolist(), flips):
+        if abs(phi) > _ANGLE_TOL:
+            _frame_cnots(pending, controls, target, gates)
             pending = 0
-            gates.append(Gate(kind, (target,), float(phi[g])))
-        flip = j - 1 if g + 1 == dim else ((g + 1) & -(g + 1)).bit_length() - 1
-        pending ^= 1 << flip
-    for i in range(j):
-        if (pending >> i) & 1:
-            gates.append(cnot(controls[i], target))
+            gates.append(rotation(phi, target))
+        pending ^= flip
+    _frame_cnots(pending, controls, target, gates)
+
+
+def _frame_cnots(pending: int, controls: list[int], target: int, gates: list[Gate]) -> None:
+    """One CNOT from controls[i] for each set bit i of pending, lowest first."""
+    while pending:
+        low = pending & -pending
+        gates.append(cnot(controls[low.bit_length() - 1], target))
+        pending ^= low
 
 
 def _global_phase_gates(angle: float, qubit: int) -> list[Gate]:
@@ -104,12 +112,12 @@ def state_prep_gates(amps: np.ndarray, qubits: list[int]) -> list[Gate]:
         sq = (mags**2).reshape(1 << d, 2, 1 << t)
         w = np.sqrt(sq.sum(axis=2))
         theta = 2.0 * np.arctan2(w[:, 1], w[:, 0])
-        _mux_rotation("ry", qubits[t], [qubits[t + 1 + i] for i in range(d)], theta, gates)
+        _mux_rotation(ry, qubits[t], [qubits[t + 1 + i] for i in range(d)], theta, gates)
     # Phases, one multiplexed Rz per qubit from the top down, then the residue.
     rem = np.where(mags > 1e-15, np.angle(amps), 0.0)
     for t in range(c - 1, -1, -1):
         half = rem.reshape(2, 1 << t)
-        _mux_rotation("rz", qubits[t], [qubits[i] for i in range(t)],
+        _mux_rotation(rz, qubits[t], [qubits[i] for i in range(t)],
                       half[1] - half[0], gates)
         rem = (half[0] + half[1]) / 2.0
     gates += _global_phase_gates(float(rem[0]), qubits[0])
@@ -121,19 +129,6 @@ def generic_state_prep(amps: np.ndarray) -> Circuit:
     amps = np.asarray(amps, dtype=complex).reshape(-1)
     c = max(1, amps.shape[0].bit_length() - 1)
     return Circuit(c, tuple(state_prep_gates(amps, list(range(c)))))
-
-
-def _controlled_pauli_gates(ops: str, ctrl: int, sys_base: int) -> list[Gate]:
-    out: list[Gate] = []
-    for site, p in enumerate(ops):
-        q = sys_base + site
-        if p == "X":
-            out.append(cnot(ctrl, q))
-        elif p == "Z":
-            out.append(cz(ctrl, q))
-        elif p == "Y":
-            out += [sdg(q), cnot(ctrl, q), s(q)]
-    return out
 
 
 def standard_lcu(h: PauliSum) -> BlockEncoding:
@@ -170,26 +165,27 @@ def standard_lcu(h: PauliSum) -> BlockEncoding:
         return BlockEncoding(Circuit(width, tuple(gates), layout), norm)
 
     amps = np.zeros(1 << c, dtype=complex)
-    for i, t in enumerate(h.terms):
-        amps[i] = np.sqrt(t.coefficient / norm)
+    amps[:m_terms] = np.sqrt([t.coefficient / norm for t in h.terms])
     anc = list(range(c))
 
+    # Built once and shared by every term: the index flips, the Toffoli chain
+    # that ANDs the index bits into ctrl (ladder) and its reverse, and per
+    # system qubit the gates of each Pauli letter controlled by ctrl.
+    flip = [x(q) for q in anc]
+    ladder = [toffoli(0, 1, c)] if c > 1 else []
+    ladder += [toffoli(c + i - 2, i, c + i - 1) for i in range(2, c)]
+    unladder = ladder[::-1]
+    ctrl = 2 * c - 2
+    letters = [{"I": (), "X": (cnot(ctrl, q),), "Y": (sdg(q), cnot(ctrl, q), s(q)),
+                "Z": (cz(ctrl, q),)} for q in range(sys_base, width)]
     for m, term in enumerate(h.terms):
         if set(term.ops) == {"I"}:
             continue
-        flips = [x(q) for q in anc if not (m >> q) & 1]
+        flips = [flip[q] for q in anc if not (m >> q) & 1]
         gates += flips
-        if c == 1:
-            ctrl = 0
-            chain: list[Gate] = []
-        else:
-            chain = [toffoli(0, 1, c)]
-            for i in range(2, c):
-                chain.append(toffoli(c + i - 2, i, c + i - 1))
-            ctrl = c + c - 2
-        gates += chain
-        gates += _controlled_pauli_gates(term.ops, ctrl, sys_base)
-        gates += reversed(chain)
+        gates += ladder
+        gates += chain.from_iterable(map(dict.__getitem__, letters, term.ops))
+        gates += unladder
         gates += flips
 
     return BlockEncoding(Circuit(width, tuple(gates), layout), norm,

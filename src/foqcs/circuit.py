@@ -40,6 +40,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -319,26 +320,30 @@ def cgamma(theta, c, a, b):
     return _new(Gate, ("cgamma", (c, a, b), theta))
 
 
-_RANGE_CHUNK = 512  # gates per min/max pass of _first_out_of_range
+_INT = {int}
+_kind, _qubits = itemgetter(0), itemgetter(1)
 
 
 def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
-    """The first gate with a qubit outside [0, width), or None; a non-int
-    qubit (a bool too, as in json_int) raises DomainError.
+    """The first gate, in gate order, with a qubit that is not an int (a bool
+    neither, as in json_int) or that lies outside [0, width). The first kind
+    raises DomainError and the second is returned; within one gate the type
+    rule comes first. None if no gate has either.
 
-    One type set and min/max over the qubits of each chunk of gates; a chunk is
-    searched gate by gate only on a failure. Chunks keep the flattened list
-    small: one list over a whole lowered circuit (38k gates for spin glass
-    n=24) raised the peak RSS of `encode` by about 0.5 MB.
+    One pass takes the types of every operand and a second the set of
+    distinct qubits, which min/max read; neither holds more than that set.
+    The gates are searched one by one only on a failure, to name the
+    offender.
     """
-    for start in range(0, len(gates), _RANGE_CHUNK):
-        chunk = gates[start:start + _RANGE_CHUNK]
-        qubits = [q for g in chunk for q in g.qubits]
-        if not set(map(type, qubits)) <= {int}:
-            g = next(g for g in chunk if not set(map(type, g.qubits)) <= {int})
+    if set(map(type, chain.from_iterable(map(_qubits, gates)))) <= _INT:
+        qubits = set(chain.from_iterable(map(_qubits, gates)))
+        if not qubits or (min(qubits) >= 0 and max(qubits) < width):
+            return None
+    for g in gates:
+        if not set(map(type, g.qubits)) <= _INT:
             raise DomainError(f"gate {g.kind}{g.qubits}: qubits must be integers")
-        if min(qubits) < 0 or max(qubits) >= width:
-            return next(g for g in chunk if min(g.qubits) < 0 or max(g.qubits) >= width)
+        if min(g.qubits) < 0 or max(g.qubits) >= width:
+            return g
     return None
 
 
@@ -450,8 +455,8 @@ class BlockEncoding:
         if g is not None:
             raise DomainError(f"prep gate {g.kind}{g.qubits} is not on the "
                               f"{sys_start} ancillae below the system register")
-        g = next((g for g in self.prep if KINDS[g.kind].adjoint is None), None)
-        if g is not None:
+        if any(KINDS[kind].adjoint is None for kind in set(map(_kind, self.prep))):
+            g = next(g for g in self.prep if KINDS[g.kind].adjoint is None)
             raise DomainError(f"prep must have an exact transpose; {g.kind} has none")
 
     @property
@@ -642,18 +647,24 @@ def count(c: Circuit | BlockEncoding) -> CountReport:
     """Tally the gates by kind and sum each kind's lowered cost; the circuit
     itself is never lowered.
 
-    An encoding counts as its flat circuit, but from PR and SELECT as built,
-    PR twice: a gate's transpose has that gate's lowered cost and composite
-    counts, so PL-dagger is never built.
+    An encoding counts as its flat circuit PR, SELECT, PL-dagger, but from PR
+    and SELECT as built: a gate's transpose has that gate's lowered cost and
+    composite counts, so PL-dagger has PR's tally. PR is tallied once and its
+    tally added twice; PL-dagger is never built.
     """
-    gates = chain(c.prep, c.select.gates, c.prep) if isinstance(c, BlockEncoding) else c.gates
-    tally = Counter(g.kind for g in gates)
+    if isinstance(c, BlockEncoding):
+        tally = Counter(map(_kind, c.select.gates))
+        for kind, n in Counter(map(_kind, c.prep)).items():
+            tally[kind] += 2 * n
+    else:
+        tally = Counter(map(_kind, c.gates))
     two = single = 0
     for kind, n in tally.items():
         cost_two, cost_single = _LOWERED_COST[kind]
         two += n * cost_two
         single += n * cost_single
-    return CountReport(two, tally["toffoli"], tally["crz"] + tally["cry"], tally["cphase"],
+    get = tally.get
+    return CountReport(two, get("toffoli", 0), get("crz", 0) + get("cry", 0), get("cphase", 0),
                        single)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import report as report_mod
 from .circuit import export_lowered
-from .dicke import AmplitudeList, dicke_kind, dicke_state_map
+from .dicke import DICKE_KINDS, AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
 from .errors import DomainError, ResourceGuardError, check_entries, json_int
 from .models import (
@@ -47,11 +47,21 @@ def _from_json(what: str, build, data):
         raise ValueError(f"malformed {what}: {e}") from e
 
 
-def _check_n(args, n: int | None) -> None:
-    """verify refuses a block model's dense 2^n x 2^n reference over the entry
-    budget. A Dicke state runs sparse at any n, so it has no such check."""
-    if args.func is cmd_verify_block and n is not None and n >= 0:  # the model refuses n < 0
+def _check_n(args, n: int | None, kind: str | None = None, k: int | None = None) -> None:
+    """verify refuses what it cannot check within the entry budget: a block
+    model's dense 2^n x 2^n reference, and a Dicke state (a registry kind,
+    checked to have a k exactly if it needs one) whose components x circuit
+    width is over it. A Dicke state runs sparse, at a cost of about its
+    gates x its support, which that product bounds in order."""
+    if n is None or n < 0:  # the model refuses n < 0
+        return
+    if args.func is cmd_verify_block:
         check_entries(f"verify's 2^{n} x 2^{n} reference", 1, 2 * n)
+    elif args.func is cmd_verify_state and kind is not None:
+        components = n - k if DICKE_KINDS[kind].needs_k else n
+        width = 2 * n if kind.endswith("d") else n  # d1d and d2kd copy onto a second register
+        check_entries(f"verify's {kind} state of {components} components on {width} qubits",
+                      components * width)
 
 
 def _spec(args, what: str, build):
@@ -119,6 +129,7 @@ def _dicke(args) -> tuple:
     unbalanced = kind.endswith("u")
     base = kind[:-1] if unbalanced else kind
     spec = dicke_kind(base, k)
+    _check_n(args, n, base, k)
     if alphas is not None and not unbalanced:
         raise DomainError(f"{kind} is balanced and takes no alphas (use {kind}u)")
     a = None

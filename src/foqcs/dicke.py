@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .circuit import Circuit, Gate, cnot, gamma, phase, x
@@ -26,18 +27,18 @@ class AmplitudeList:
     alphas: tuple[complex, ...]
 
     def __init__(self, alphas):
-        vec = tuple(complex(a) for a in alphas)
+        vec = tuple(map(complex, alphas))
         if len(vec) < 1:
             raise DomainError("need at least one amplitude")
         try:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
+            norm = math.sqrt(sum([abs(a) ** 2 for a in vec]))
         except OverflowError as e:  # a finite amplitude whose square overflows
             raise DomainError("the amplitudes' norm overflows a float") from e
         if not math.isfinite(norm):
             raise DomainError("amplitudes must be finite")
         if norm < 1e-300:
             raise DomainError("amplitude vector has zero norm")
-        object.__setattr__(self, "alphas", tuple(a / norm for a in vec))
+        object.__setattr__(self, "alphas", tuple([a / norm for a in vec]))
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -51,9 +52,14 @@ class DickeAngles:
     etas: tuple[float, ...]
 
 
+@lru_cache(maxsize=128, typed=True)
 def balanced_thetas(n: int) -> tuple[float, ...]:
-    """theta_l = 2 arccos sqrt(1/(l+1)), the uniform-amplitude cascade angles."""
-    return tuple(2.0 * math.acos(math.sqrt(1.0 / (l + 1))) for l in range(1, n))
+    """theta_l = 2 arccos sqrt(1/(l+1)), the uniform-amplitude cascade angles.
+
+    Memoized, at most 128 values of n: a Dicke sweep to n = 32 builds 496
+    circuits from 31 of them.
+    """
+    return tuple([2.0 * math.acos(math.sqrt(1.0 / (l + 1))) for l in range(1, n)])
 
 
 def unbalanced_angles(a: AmplitudeList) -> DickeAngles:
@@ -61,10 +67,14 @@ def unbalanced_angles(a: AmplitudeList) -> DickeAngles:
 
     theta_l = 2 arccos(|a_{n-l-1}| / sqrt(1 - sum_{j<n-l-1} |a_j|^2)). It is 0
     from the last nonzero amplitude on (there the ratio is 1 or an ulp below)
-    and once the remaining weight is placed (< 1e-14); arccos args are clamped.
+    and once the remaining weight is placed (< 1e-14); the arccos argument,
+    never negative, is clamped to 1.
     """
-    mags = [abs(v) for v in a.alphas]
-    last = max(j for j, m in enumerate(mags) if m)  # AmplitudeList has a nonzero
+    alphas = a.alphas
+    mags = [*map(abs, alphas)]
+    last = len(mags) - 1
+    while not mags[last]:  # AmplitudeList has a nonzero
+        last -= 1
     thetas = []  # theta_{n-1} first: site j = n-l-1 runs upward from 0
     placed = 0.0  # sum_{i<j} |a_i|^2, added in index order
     for j, m in enumerate(mags[:-1]):
@@ -72,10 +82,11 @@ def unbalanced_angles(a: AmplitudeList) -> DickeAngles:
         if j >= last or rem < _DEGENERATE_TOL:
             thetas.append(0.0)
         else:
-            thetas.append(2.0 * math.acos(min(1.0, max(0.0, m / math.sqrt(rem)))))
+            r = m / math.sqrt(rem)
+            thetas.append(2.0 * math.acos(1.0 if r > 1.0 else r))
         placed += m * m
     thetas.reverse()
-    etas = tuple(cmath.phase(v) if abs(v) > 0 else 0.0 for v in a.alphas)
+    etas = tuple([cmath.phase(v) if m > 0 else 0.0 for v, m in zip(alphas, mags)])
     return DickeAngles(tuple(thetas), etas)
 
 
@@ -89,10 +100,8 @@ def staircase_gates(thetas, qubits) -> list[Gate]:
     n = len(qubits)
     if len(thetas) != n - 1:
         raise DomainError(f"need {n - 1} angles for {n} qubits, got {len(thetas)}")
-    out = []
-    for l in range(n - 1, 0, -1):
-        out.append(gamma(thetas[l - 1], qubits[n - l], qubits[n - l - 1]))
-    return out
+    # theta_l acts on (qubits[n-l], qubits[n-l-1]) for l = n-1 down to 1
+    return [*map(gamma, reversed(thetas), qubits[1:], qubits[:-1])]
 
 
 def staircase(n: int, thetas) -> Circuit:
@@ -191,8 +200,15 @@ def prepare_double(n: int, k: int | None = None, a: AmplitudeList | None = None)
     k given: sum alphas[l] |2^l + 2^(l+k)>|same>, 1 <= k <= n-1.
     """
     gates = dicke1_gates(n, a) if k is None else dicke2k_gates(n, k, a)
-    gates += [cnot(l, n + l) for l in range(n)]
+    gates += _register_copy(n)
     return Circuit(2 * n, tuple(gates))
+
+
+@lru_cache(maxsize=1, typed=True)
+def _register_copy(n: int) -> tuple[Gate, ...]:
+    """CNOT(l -> n + l) for every l < n. Memoized for the last n: a sweep over
+    k builds the n - 1 states of one n in a row, and they share it."""
+    return tuple([cnot(l, n + l) for l in range(n)])
 
 
 # --- the kind registry: builder, closed-form state and CNOT count ---

@@ -189,15 +189,24 @@ def _sg_wire(n: int, axis: int, k: int) -> int:
 def _sg_tables(p: SpinGlassParams):
     """The selector amplitudes and, per nonzero (axis, k), the unit-norm body:
     the square-rooted diagonal (g[a] at k = 0, J[a]'s k-th diagonal above)
-    over the square root of its absolute coupling mass, as Python complexes."""
+    over the square root of its absolute coupling mass, as Python complexes.
+
+    Each axis's fields and couplings are square-rooted, and their masses
+    taken, once; a diagonal is a view of those, and its mass is summed on its
+    own, since numpy's pairwise order over that diagonal fixes the bits."""
     n = p.n
     norm = p.normalization()
     sub = np.zeros(3 * n, dtype=complex)
     bodies: dict[tuple[int, int], list[complex]] = {}
     for a in range(3):
+        fields, couplings = np.sqrt(p.g[a].astype(complex)), np.sqrt(p.J[a].astype(complex))
+        masses = np.abs(couplings) ** 2
         for k in range(n):
-            diag = np.sqrt((np.diagonal(p.J[a], k) if k else p.g[a]).astype(complex))
-            nk = float(np.sum(np.abs(diag) ** 2))
+            if k:
+                diag, mass = couplings.diagonal(k), masses.diagonal(k)
+            else:
+                diag, mass = fields, np.abs(fields) ** 2
+            nk = float(mass.sum())  # one pairwise sum per diagonal
             if nk < _ZERO_DIAG_TOL:
                 continue
             if a == 1:
@@ -216,16 +225,15 @@ def _sg_register_staircase(gates: list[Gate], base: int, n: int,
     families maps diagonal k -> [(control wire, angles of the (n-k)-qubit
     body)]. The activation CNOT for diagonal k sits between shell levels k and
     k+1: below its own level a branch must see every pair in |00>, where the
-    uncontrolled shell acts as the identity.
+    uncontrolled shell acts as the identity. Level m serves the families of
+    every k < m, in order of k; that list grows by one diagonal per level.
     """
     for wire, _ in families.get(0, []):
         gates.append(cnot(wire, base))
+    below: list[tuple[int, "dicke.DickeAngles"]] = []  # the families of every k < m
     for m in range(1, n):
-        active = [
-            (wire, ang.thetas[n - m - 1])
-            for k in range(m)
-            for wire, ang in families.get(k, [])
-        ]
+        below += families.get(m - 1, [])
+        active = [(wire, ang.thetas[n - m - 1]) for wire, ang in below]
         if active:
             a_q, b_q = base + m, base + m - 1
             gates += [s(a_q), h(a_q)]

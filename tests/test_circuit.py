@@ -295,7 +295,7 @@ def test_gate_angle_must_be_finite_number():
     (cnot(0, 3), "gate cnot(0, 3) out of range for width 3"),
     (toffoli(3, 0, -2), "gate toffoli(3, 0, -2) out of range for width 3"),
 ])
-@pytest.mark.parametrize("before", [1, 1023])  # 1023: the last gate of a 512-gate chunk
+@pytest.mark.parametrize("before", [1, 1023])
 def test_circuit_range_error_names_the_first_bad_gate(bad, text, before):
     ok = (h(0),) * (before - 1) + (cnot(0, 2),)
     with pytest.raises(DomainError) as e:
@@ -316,6 +316,29 @@ def test_in_memory_circuit_rejects_a_non_integer_qubit(q, before):
     assert str(e.value) == f"gate x{(q,)}: qubits must be integers"
     with pytest.raises(DomainError, match="qubits must be integers"):
         BlockEncoding(Circuit(3, (), {"system": (2, 1)}), 1.0, prep=[x(q)])
+
+
+# One rule names the bad gate, however far apart two bad gates are: the first
+# offending gate in gate order, and within one gate the type rule before the
+# range rule. Circuit and BlockEncoding's prep keep the same rule.
+@pytest.mark.parametrize("gap", [3, 600])
+@pytest.mark.parametrize("first, second, bad", [
+    (x(7), x(True), "range"),
+    (x(True), x(7), "type"),
+    (cnot(7, True), x(7), "type"),
+], ids=["range-then-type", "type-then-range", "type-and-range-in-one-gate"])
+def test_the_first_bad_gate_in_gate_order_is_named(first, second, bad, gap):
+    gates = (h(0), first) + (h(0),) * gap + (second,)
+    name = f"{first.kind}{first.qubits}"
+    with pytest.raises(DomainError) as e:
+        Circuit(2, gates)
+    assert str(e.value) == (f"gate {name} out of range for width 2" if bad == "range"
+                            else f"gate {name}: qubits must be integers")
+    with pytest.raises(DomainError) as e:
+        BlockEncoding(Circuit(3, (), {"system": (2, 1)}), 1.0, prep=gates)
+    assert str(e.value) == (
+        f"prep gate {name} is not on the 2 ancillae below the system register"
+        if bad == "range" else f"gate {name}: qubits must be integers")
 
 
 ONE_GATES = [Gate(kind, (3, 1, 2)[:row.arity], angle) for kind, row in KINDS.items()

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import foqcs.cli
+import foqcs.dicke
 import foqcs.report
 from foqcs.circuit import BlockEncoding, Circuit
 from foqcs.cli import build_parser, main
@@ -249,24 +251,39 @@ GENERIC_SPEC = {"n": 3, "terms": [
     {"coeff": [0.7, 0], "ops": "XZY"}, {"coeff": [-0.3, 0], "ops": "ZZI"},
     {"coeff": [0.25, 0], "ops": "IXX"}, {"coeff": [0.5, 0], "ops": "YIZ"},
     {"coeff": [1.1, 0], "ops": "III"}]}
+# A spin glass with zero diagonals, which random draws never make (their floor
+# is 1e-3): no y fields, x couplings on k = 1, 2 only, and no z coupling at
+# k = 3. _sg_tables skips those diagonals, and the staircases, phases and
+# ladders build without their families.
+ZERO_DIAGONAL_SPIN_GLASS = {
+    "n": 5,
+    "g": [[0.3, -0.5, 0.7, 0.2, -0.4], [0, 0, 0, 0, 0], [0.6, 0.1, -0.8, 0.45, 0.25]],
+    "J": [[[0.9, -0.35, 0, 0], [0.15, 0.5, 0], [-0.65, 0.2], [0.4]],
+          [[-0.3, 0.55, 0.1, -0.7], [0.25, -0.15, 0.35], [0.6, -0.45], [0.05]],
+          [[0.5, -0.2, 0, 0.3], [-0.4, 0.75, 0], [0.1, -0.55], [0.85]]]}
+# (the encode arguments, the spec written to SPEC, the three files' digests)
 GOLDEN_SPEC_EXPORTS = [
-    ("generic --spec SPEC",
+    ("generic --spec SPEC", GENERIC_SPEC,
      ("e5794339aed303ae3226eba7cef4ab68e14464385b418e931fba2b071273f47f",
       "ee62886b86eae672e90f10fef617e6ffc47e942bf8dc72edcd59ba3a11be382e",
       "77ef3fc5cd30f6dccef45639b9ba7e02e47a139629dbd0d9affe7998f42967ab")),
-    ("dicke --kind d2kdu --n 4 --k 1 --alphas [[0.6,0],[0,0.6],[0.52915026221,0]]",
+    ("dicke --kind d2kdu --n 4 --k 1 --alphas [[0.6,0],[0,0.6],[0.52915026221,0]]", None,
      ("5b736151c8a42f1600416eaf30a79c4b468e0b5814a972a69c031e9ab9f1d288",
       "2818b5f1d5f0934f2e7e5879f93f5e7c8a5571a52736d60bf3714b32341e6a42",
       "e154db35f0e67bc80e4fa894f3a70620ac779ae9b432d1f251114893803a28e2")),
+    ("spin-glass --spec SPEC", ZERO_DIAGONAL_SPIN_GLASS,
+     ("957e9f6991e7de60ea16f5d6937b2c3106e0ed25fd0fdafdba2f0f8f0a24d140",
+      "9eeafaf9f39dc545d238be0c611e747be8149633c52a0d0bc836d5f4b89628de",
+      "10ffa04c0ed2bc5baadff6933f09f58af82ba78588c3537a21b21bf8bfc9644b")),
 ]
 
 
-@pytest.mark.parametrize("args, digests", GOLDEN_SPEC_EXPORTS,
-                         ids=[a.split(" --")[0] for a, _ in GOLDEN_SPEC_EXPORTS])
+@pytest.mark.parametrize("args, spec_data, digests", GOLDEN_SPEC_EXPORTS,
+                         ids=[a.split(" --")[0] for a, _, _ in GOLDEN_SPEC_EXPORTS])
 def test_generic_and_dicke_files_are_byte_identical_to_the_golden_digests(tmp_path, args,
-                                                                          digests):
+                                                                          spec_data, digests):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(GENERIC_SPEC))
+    spec.write_text(json.dumps(spec_data))
     out = tmp_path / "out"
     assert main(["encode", *args.replace("SPEC", str(spec)).split(), "-o", str(out)]) == 0
     files = ("circuit.qasm", "circuit.json", "meta.json")
@@ -925,7 +942,8 @@ def test_counts_range_over_the_sweep_limit_is_an_input_error(monkeypatch, capsys
 
 # verify refuses a block model whose dense 2^n x 2^n reference is over the
 # entry budget before a model is drawn: at 1e5 the spin-glass J alone would
-# take 224 GiB, and at 1e20 the Heisenberg build would not end. Every command
+# take 224 GiB, and at 1e20 the Heisenberg build would not end. It refuses a
+# Dicke state whose components x width is over the budget too. Every command
 # refuses spin-glass couplings over the budget; otherwise an n too large for
 # the machine is an input error, raised before anything is built.
 HUGE_N = str(10**20)
@@ -934,7 +952,7 @@ HUGE_N = str(10**20)
 @pytest.mark.parametrize("argv, code", [
     (["verify", "spin-glass", "--n", "100000"], 3),
     (["verify", "heisenberg", "--n", HUGE_N], 3),
-    (["verify", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
+    (["verify", "dicke", "--kind", "d1", "--n", HUGE_N], 3),
     (["counts", "heisenberg", "--n", f"2:{HUGE_N}"], 1),
     (["counts", "dicke", "--kind", "d1", "--n", HUGE_N], 1),
     (["encode", "dicke", "--kind", "d1", "--n", HUGE_N, "-o", "out"], 1),
@@ -960,7 +978,8 @@ BUDGET = "over the budget of 2^24 entries"
     ("heisenberg", {"n": 10**20, "gx": 1.0}, BUDGET),
     ("generic", {"n": 22, "terms": [{"coeff": [1.0, 0.0], "ops": "X" * 22}]}, BUDGET),
     ("dicke", {"kind": "d1", "n": 63}, None),
-], ids=["spin-glass", "heisenberg", "generic", "dicke"])
+    ("dicke", {"kind": "d2kdu", "n": 2897, "k": 1}, BUDGET),
+], ids=["spin-glass", "heisenberg", "generic", "dicke", "dicke-budget"])
 def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
         tmp_path, monkeypatch, capsys, model, spec, reason):
     def refuse(d):
@@ -973,13 +992,34 @@ def test_verify_refuses_a_spec_n_over_the_cap_before_reading_the_model(
     code = main(["verify", model, "--spec", str(f)])
     captured = capsys.readouterr()
     if reason is None:
-        # A Dicke state runs sparse at any n, so its spec has no cap: n = 63,
-        # past the 62 bits of an int64 index, verifies.
+        # A Dicke state runs sparse at any width, so its cap is components x
+        # width: n = 63, past the 62 bits of an int64 index, verifies.
         assert code == 0 and json.loads(captured.out)["ok"]
         return
     assert code == 3
     assert captured.out == ""
     assert reason in captured.err
+
+
+def test_verify_dicke_refuses_components_times_width_over_the_budget_at_once(
+        monkeypatch, capsys):
+    # The sparse run costs about gates x support, quadratic in n: d1 at
+    # n = 4096 (2^24 = components x width) still runs, and n = 4097 is
+    # refused before the circuit is built.
+    def refuse(*args):
+        raise AssertionError("the circuit was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(foqcs.dicke, "prepare_dicke1", refuse)
+        start = time.perf_counter()
+        assert main(["verify", "dicke", "--kind", "d1", "--n", "4097"]) == 3
+        assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("verify's d1 state of 4097 components on 4097 qubits is over the budget "
+            "of 2^24 entries") in captured.err
+    assert main(["verify", "dicke", "--kind", "d1", "--n", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_python_m_foqcs_runs_the_cli(capsys):

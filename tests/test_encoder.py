@@ -244,6 +244,29 @@ def test_sg_tables_bodies_have_unit_norm():
         assert np.linalg.norm(body) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_sg_tables_bodies_equal_each_diagonal_rooted_on_its_own(seed):
+    # The reference square-roots and sums each diagonal on its own, as the
+    # tables were first built. Rooting each axis once and slicing its
+    # diagonals must give the same bodies to the bit, zero diagonals included.
+    rng = np.random.default_rng(seed)
+    p = random_spin_glass(int(rng.integers(2, 14)), rng)
+    if seed % 2:
+        g, J = p.g.copy(), p.J.copy()
+        g[1] = 0.0
+        J[0][np.triu_indices(p.n, 3)] = 0.0
+        J[2][np.eye(p.n, k=p.n // 2, dtype=bool)] = 0.0
+        p = SpinGlassParams(p.n, g, J)
+    want = {}
+    for a in range(3):
+        for k in range(p.n):
+            diag = np.sqrt((np.diagonal(p.J[a], k) if k else p.g[a]).astype(complex))
+            nk = float(np.sum(np.abs(diag) ** 2))
+            if nk >= 1e-14:
+                want[(a, k)] = (diag / math.sqrt(nk)).tolist()
+    assert repr(_sg_tables(p)[1]) == repr(want)
+
+
 def test_spin_glass_pr_state():
     rng = np.random.default_rng(19)
     for n in (2, 3):
