@@ -1,6 +1,8 @@
 """Command-line front end: encode, verify, counts.
 
 Exit codes: 0 success, 1 input/parse error, 2 domain error, 3 resource guard.
+An argparse usage error (a flag the pair does not read, a bad flag value)
+exits 2 as well, with argparse's usage message.
 Human-readable summaries go to stderr; machine output to files or stdout.
 All randomness flows from --seed (default 0).
 """
@@ -283,32 +285,37 @@ COMMANDS = {"encode": ("write lowered QASM + layout metadata", MODELS, _add_requ
             "counts": ("predicted vs actual gate-count sweeps", COUNTS, _add_counts_flags)}
 
 
-def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser:
-    """The parser tree. With `only` = (command, model), the top-level parser
-    still registers every command, so its usage is unchanged, but only that
-    command gets a model parser, and only that one."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: the top level, its three commands and every leaf."""
     ap = argparse.ArgumentParser(prog="foqcs",
                                  description="Block-encoding synthesis, verification, and counting")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (help_, leaves, add_flags) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_)
-        if only is not None and only[0] != command:
-            continue
-        models = cmd.add_subparsers(dest="model", required=True)
-        for model in leaves if only is None else [only[1]]:
+        models = sub.add_parser(command, help=help_).add_subparsers(dest="model", required=True)
+        for model in leaves:
             add_flags(models.add_parser(model), command, model)
     return ap
 
 
-def main(argv=None) -> int:
-    """Run one command. When argv starts with a known (command, model) pair,
-    only that pair's parser is built; any other argv, such as -h or a
-    missing or unknown model, gets the full tree and so the same help and
-    errors."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+def parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the leaf parser of the (command, model) pair it starts
+    with, alone; the leaf has the prog the tree gives it, so its help and value
+    errors are the tree's. Any other argv, and one that leaves arguments over
+    (which the tree reports under its top-level usage), goes to the whole tree."""
     command, model = (argv + ["", ""])[:2]
-    known = command in COMMANDS and model in COMMANDS[command][1]
-    args = build_parser((command, model) if known else None).parse_args(argv)
+    if command in COMMANDS and model in COMMANDS[command][1]:
+        leaf = argparse.ArgumentParser(prog=f"foqcs {command} {model}")
+        COMMANDS[command][2](leaf, command, model)
+        args, rest = leaf.parse_known_args(argv[2:], argparse.Namespace(command=command,
+                                                                       model=model))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code."""
+    args = parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
     except ResourceGuardError as e:

@@ -74,7 +74,7 @@ def sweep(model: str, ns, seed: int = 0, k: int | None = None,
         raise DomainError("the standard-LCU baseline needs a spin model, not a Dicke kind")
     if k is not None and (spec is None or not spec.needs_k):
         raise DomainError(f"{model} takes no k")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if spec is None else None  # a Dicke sweep draws nothing
     rows = []
     for n in ns:
         if spec is not None:

@@ -17,7 +17,7 @@ import foqcs.cli
 import foqcs.dicke
 import foqcs.report
 from foqcs.circuit import BlockEncoding, Circuit
-from foqcs.cli import build_parser, main
+from foqcs.cli import build_parser, main, parse
 from foqcs.models import (
     HeisenbergParams,
     SpinGlassParams,
@@ -556,20 +556,36 @@ def test_hamiltonian_is_built_only_by_verify_after_the_width_cap(tmp_path, monke
     assert main(["verify", "heisenberg", "--n", "13", "--seed", "1"]) == 3
 
 
-def test_verify_dicke_does_not_import_numpy_ma():
+def _main_in_a_fresh_process(argv, module):
+    """main(argv) in a fresh interpreter: its exit code and whether it loaded
+    `module`, or a skip if importing numpy alone loads it."""
     script = ("import sys, numpy\n"
-              "alone = 'numpy.ma' in sys.modules\n"
+              f"alone = {module!r} in sys.modules\n"
               "from foqcs.cli import main\n"
-              "code = main(['verify', 'dicke', '--kind', 'd1u', '--n', '3',\n"
-              "             '--alphas', '[[0.6, 0], [0, 0.6], [0.52915026221, 0]]'])\n"
-              "print(alone, code, 'numpy.ma' in sys.modules)\n")
+              f"code = main({argv!r})\n"
+              f"print(alone, code, {module!r} in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(foqcs.cli.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=60)
     alone, code, loaded = run.stdout.splitlines()[-1].split()
     if alone == "True":
-        pytest.skip("import numpy alone loads numpy.ma")
-    assert (code, loaded) == ("0", "False")
+        pytest.skip(f"import numpy alone loads {module}")
+    return code, loaded
+
+
+def test_verify_dicke_does_not_import_numpy_ma():
+    argv = ["verify", "dicke", "--kind", "d1u", "--n", "3",
+            "--alphas", "[[0.6, 0], [0, 0.6], [0.52915026221, 0]]"]
+    assert _main_in_a_fresh_process(argv, "numpy.ma") == ("0", "False")
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "dicke", "--kind", "d2k", "--n", "2:4"],
+    ["verify", "dicke", "--kind", "d1", "--n", "3"],
+], ids=["counts", "verify"])
+def test_dicke_commands_do_not_import_numpy_random(argv):
+    # A Dicke sweep or state draws nothing, so it need not load numpy.random.
+    assert _main_in_a_fresh_process(argv, "numpy.random") == ("0", "False")
 
 
 def test_verify_dicke_nan_amplitude(capsys):
@@ -702,13 +718,18 @@ def test_counts_empty_range_is_rejected(capsys):
     assert "empty range" in captured.err
 
 
+def _parses_as_the_full_tree(argv: list[str]) -> None:
+    # main parses a known pair's argv with its leaf alone, which must give the tree's namespace
+    assert vars(parse(list(argv))) == vars(build_parser().parse_args(argv))
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     lines = [line.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
              for line in block.splitlines() if line.startswith("foqcs ")]
     assert len(lines) >= 10
     for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+        _parses_as_the_full_tree(shlex.split(line)[1:])
 
 
 def test_readme_python_tour_runs(capsys):
@@ -744,7 +765,7 @@ def _argv(flags) -> list[str]:
 
 def test_each_pair_parses_the_flags_it_reads():
     for (command, model), reads in READS.items():
-        build_parser().parse_args([command, model, *_argv(reads)])
+        _parses_as_the_full_tree([command, model, *_argv(reads)])
     shared = sum(len(SHARED_FLAGS[c]) for c, _ in READS)
     assert (shared, sum(map(len, READS.values())), len(UNREAD)) == (129, 59, 70)
 
@@ -879,7 +900,7 @@ def test_counts_dicke_n_without_a_k_is_rejected(capsys, argv):
 
 @pytest.mark.parametrize("command, model", list(READS), ids=[f"{c}-{m}" for c, m in READS])
 def test_one_call_builds_one_parser_chain(tmp_path, monkeypatch, command, model):
-    # The top-level parser, its three commands and the one leaf: 5, not all 15.
+    # A known (command, model) pair is parsed by its leaf alone: 1 parser, not the tree's 15.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -890,7 +911,17 @@ def test_one_call_builds_one_parser_chain(tmp_path, monkeypatch, command, model)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     main([command, model, *_argv(READS[command, model])])
-    assert len(built) <= 5, built
+    assert built == [f"foqcs {command} {model}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dicke", "--kin", "d1", "--n", "3"],
+    ["counts", "dicke", "--n=2:3"],
+    ["counts", "heisenberg", "--n", "2:3", "--n", "4", "--base"],
+    ["verify", "heisenberg", "--n", "2", "--seed", "1", "--seed", "2", "--tol=1e-9"],
+], ids=["abbreviated", "equals-form", "repeated-abbreviated", "repeated-equals-form"])
+def test_leaf_parses_abbreviated_and_repeated_flags_as_the_full_tree(argv):
+    _parses_as_the_full_tree(argv)
 
 
 COMMANDS = ("encode", "verify", "counts")
@@ -904,6 +935,14 @@ HELP_AND_ERRORS = [
     *([c, m, "-h"] for c, m in LEAVES), *([c, m, "--bogus", "1"] for c, m in LEAVES),
     *(["counts", m] for m in COUNTS_FLAGS),
     *([c, m, "--n", "x"] for c in COMMAND_FLAGS for m in ("heisenberg", "spin-glass", "dicke")),
+    # the leaf hands leftover arguments to the full tree, and fails on the rest as the tree does
+    ["verify", "spin-glass", "--n", "2", "extra"],
+    ["verify", "dicke", "--", "--kind", "d1", "--n", "3"],
+    ["verify", "dicke", "--kind", "d1", "--", "--n", "3"],
+    ["verify", "dicke", "--kind", "d1", "--n", "3", "--"],
+    ["counts", "heisenberg", "--n", "2", "-h"],
+    ["verify", "dicke", "--bogus", "--n", "x"],
+    ["encode", "heisenberg", "-o", "--", "--n", "2"],
 ]
 
 
