@@ -7,25 +7,27 @@ onto the target set {x, h, s, sdg, ry, rz, phase, cnot, cz} (None for those
 nine), its controlled counterpart and its OpenQASM name. Gate, control, lower,
 dagger, export_qasm, parse_qasm and the simulator's gate_unitary each read one
 column; GATE_KINDS, LOWERED_KINDS, PERMUTATION_ROWS, DIAGONAL_KINDS,
-SELF_TRANSPOSE_KINDS, the per-kind cost that count sums and the QASM parser's
-name map are derived from it at import. A new kind is one row plus its
-constructor, which builds the Gate tuple directly and checks what its
-signature leaves open (distinct operands, a finite angle).
+SELF_TRANSPOSE_KINDS, the per-kind cost that count sums, the QASM parser's
+name map and the public constructors (x, h, ..., cgamma) are derived from it
+at import. A new kind is one row. Its constructor (_constructor) takes the
+angle first if the kind has one, then the operands; it builds the Gate tuple
+directly and checks what its signature leaves open (distinct operands, a
+finite angle).
 
-Every exporter formats through one function (_formatter), memoized on three
+Every exporter formats through one function (_formatter), memoized on two
 levels. Per kind, a text skeleton is read once per process off the rule that
 the exporter applies: the gate as it is, its lowering or its lowered adjoint
 (_skeletons). Per distinct (kind, angle), the rule runs once on a placeholder
-gate, built only then, and its angles go into the skeleton (_templates). Per
-distinct gate, one str.format fills in the operands. export_qasm and
-Circuit.to_json format with lowering off. export_lowered writes the lowered
-QASM and JSON of a circuit, or of an encoding's PR, SELECT and PR-transpose,
-in one walk, without building the flat or the lowered circuit; PR-transpose
-reuses the text of each gate of SELF_TRANSPOSE_KINDS. A gate equals and
-hashes as its tuple, so rz(0.0) == rz(-0.0) and rz(1) == rz(1.0), but these
-print differently; every memo key therefore holds the angle's type and the
-sign of a zero angle as well (_per_distinct_gate), and the output is byte
-for byte that of formatting every gate.
+gate, built only then, and its angles go into the skeleton (_templates). Each
+gate then costs one str.format per text, which fills in its operands.
+export_qasm and Circuit.to_json format with lowering off. export_lowered
+writes the lowered QASM and JSON of a circuit, or of an encoding's PR, SELECT
+and PR-transpose, in one walk, without building the flat or the lowered
+circuit; PR-transpose reuses the text of each gate of SELF_TRANSPOSE_KINDS. A
+gate equals and hashes as its tuple, so rz(0.0) == rz(-0.0) and rz(1) ==
+rz(1.0), but these print differently; a template's key therefore holds the
+angle's type and the sign of a zero angle as well, and the output is byte for
+byte that of formatting every gate on its own.
 
 Qubit indices are little-endian (qubit q = bit q of a basis index). A
 unitary's local bit i is the gate's operand qubits[i], controls first.
@@ -89,7 +91,7 @@ def gamma_matrix(theta: float) -> np.ndarray:
     return g
 
 
-def _self_adjoint(g: Gate) -> list[Gate]:
+def _itself(g: Gate) -> list[Gate]:
     return [g]
 
 
@@ -115,16 +117,16 @@ class GateKind:
 _X = [[0, 1], [1, 0]]
 _CNOT = _controlled(np.array(_X))
 KINDS: dict[str, GateKind] = {
-    "x": GateKind(1, False, _fixed(_X), _self_adjoint, controlled="cnot", qasm="x"),
-    "h": GateKind(1, False, _fixed(np.array([[1, 1], [1, -1]]) / math.sqrt(2)), _self_adjoint,
+    "x": GateKind(1, False, _fixed(_X), _itself, controlled="cnot", qasm="x"),
+    "h": GateKind(1, False, _fixed(np.array([[1, 1], [1, -1]]) / math.sqrt(2)), _itself,
                   qasm="h"),
     "s": GateKind(1, False, _fixed([[1, 0], [0, 1j]]), lambda g: [sdg(*g.qubits)], qasm="s"),
     "sdg": GateKind(1, False, _fixed([[1, 0], [0, -1j]]), lambda g: [s(*g.qubits)], qasm="sdg"),
     "ry": GateKind(1, True, _mat_ry, _negated, controlled="cry", qasm="ry"),
     "rz": GateKind(1, True, _mat_rz, _negated, controlled="crz", qasm="rz"),
     "phase": GateKind(1, True, _mat_phase, _negated, controlled="cphase", qasm="u1"),
-    "cnot": GateKind(2, False, _fixed(_CNOT), _self_adjoint, controlled="toffoli", qasm="cx"),
-    "cz": GateKind(2, False, _fixed(np.diag([1, 1, 1, -1])), _self_adjoint, qasm="cz"),
+    "cnot": GateKind(2, False, _fixed(_CNOT), _itself, controlled="toffoli", qasm="cx"),
+    "cz": GateKind(2, False, _fixed(np.diag([1, 1, 1, -1])), _itself, qasm="cz"),
     "cry": GateKind(2, True, lambda t: _controlled(_mat_ry(t)), _negated,
                     lambda g: _controlled_rotation(ry, *g.qubits, g.angle)),
     "crz": GateKind(2, True, lambda t: _controlled(_mat_rz(t)), _negated,
@@ -132,9 +134,10 @@ KINDS: dict[str, GateKind] = {
     "cphase": GateKind(2, True, lambda t: _controlled(_mat_phase(t)), _negated,
                        lambda g: _cphase_lowering(*g.qubits, g.angle)),
     # controls bits 0, 1; target bit 2
-    "toffoli": GateKind(3, False, _fixed(_controlled(_CNOT)), _self_adjoint,
+    "toffoli": GateKind(3, False, _fixed(_controlled(_CNOT)), _itself,
                         lambda g: _toffoli_lowering(*g.qubits)),
-    # The adjoint of gamma is that of its exact 2-CNOT lowering, still 2 CNOTs.
+    # The two-qubit excitation-cascade gate: CRy(theta; b->a), then CNOT(a->b). Its
+    # adjoint is that of its exact 2-CNOT lowering, still 2 CNOTs.
     "gamma": GateKind(2, True, gamma_matrix,
                       lambda g: dagger_gates(gamma_lowering(g.angle, *g.qubits)),
                       lambda g: gamma_lowering(g.angle, *g.qubits), controlled="cgamma"),
@@ -174,8 +177,8 @@ class Gate(_GateFields):
     its KINDS row when it is made. It equals and hashes as that plain tuple.
 
     _make and _replace build through the same checks. The per-kind
-    constructors below build the tuple directly and check only what their
-    signatures leave open: distinct operands and a finite angle.
+    constructors (_constructor) build the tuple directly and check only what
+    their signatures leave open: distinct operands and a finite angle.
     """
 
     __slots__ = ()
@@ -205,9 +208,9 @@ class Gate(_GateFields):
         return cls(*iterable)
 
 
-# Builds a Gate without Gate.__new__'s checks. Only Gate.__new__ and the
-# per-kind constructors below, which check what their signatures leave open,
-# may call it.
+# Builds a Gate without Gate.__new__'s checks. Only Gate.__new__, the per-kind
+# constructors (_constructor), which check what their signatures leave open,
+# and _placeholder, whose operands are distinct, may call it.
 _new = tuple.__new__
 
 
@@ -219,105 +222,55 @@ def _not_finite(kind: str, angle) -> NoReturn:
     raise DomainError(f"{kind}: angle must be a finite number, got {angle!r}")
 
 
-def x(q):
-    return _new(Gate, ("x", (q,), None))
+def _constructor(kind: str) -> Callable[..., Gate]:
+    """The public constructor of kind: kind(*operands), or kind(angle,
+    *operands) for an angled kind. It builds the Gate tuple directly and
+    checks only what its signature leaves open, in this order and with
+    Gate's messages: float(angle), distinct operands, a finite angle."""
+    arity, angled = GATE_KINDS[kind]
+    if arity == 1 and not angled:
+        def make(q):
+            return _new(Gate, (kind, (q,), None))
+    elif arity == 1:
+        def make(angle, q):
+            angle = float(angle)
+            if not math.isfinite(angle):
+                _not_finite(kind, angle)
+            return _new(Gate, (kind, (q,), angle))
+    elif arity == 2 and not angled:
+        def make(a, b):
+            if a == b:
+                _not_distinct(kind, (a, b))
+            return _new(Gate, (kind, (a, b), None))
+    elif arity == 2:
+        def make(angle, a, b):
+            angle = float(angle)
+            if a == b:
+                _not_distinct(kind, (a, b))
+            if not math.isfinite(angle):
+                _not_finite(kind, angle)
+            return _new(Gate, (kind, (a, b), angle))
+    elif not angled:
+        def make(a, b, c):
+            if a == b or a == c or b == c:
+                _not_distinct(kind, (a, b, c))
+            return _new(Gate, (kind, (a, b, c), None))
+    else:
+        def make(angle, a, b, c):
+            angle = float(angle)
+            if a == b or a == c or b == c:
+                _not_distinct(kind, (a, b, c))
+            if not math.isfinite(angle):
+                _not_finite(kind, angle)
+            return _new(Gate, (kind, (a, b, c), angle))
+    make.__name__ = make.__qualname__ = kind
+    return make
 
 
-def h(q):
-    return _new(Gate, ("h", (q,), None))
-
-
-def s(q):
-    return _new(Gate, ("s", (q,), None))
-
-
-def sdg(q):
-    return _new(Gate, ("sdg", (q,), None))
-
-
-def ry(theta, q):
-    theta = float(theta)
-    if not math.isfinite(theta):
-        _not_finite("ry", theta)
-    return _new(Gate, ("ry", (q,), theta))
-
-
-def rz(theta, q):
-    theta = float(theta)
-    if not math.isfinite(theta):
-        _not_finite("rz", theta)
-    return _new(Gate, ("rz", (q,), theta))
-
-
-def phase(eta, q):
-    eta = float(eta)
-    if not math.isfinite(eta):
-        _not_finite("phase", eta)
-    return _new(Gate, ("phase", (q,), eta))
-
-
-def cnot(c, t):
-    if c == t:
-        _not_distinct("cnot", (c, t))
-    return _new(Gate, ("cnot", (c, t), None))
-
-
-def cz(a, b):
-    if a == b:
-        _not_distinct("cz", (a, b))
-    return _new(Gate, ("cz", (a, b), None))
-
-
-def cry(theta, c, t):
-    theta = float(theta)
-    if c == t:
-        _not_distinct("cry", (c, t))
-    if not math.isfinite(theta):
-        _not_finite("cry", theta)
-    return _new(Gate, ("cry", (c, t), theta))
-
-
-def crz(theta, c, t):
-    theta = float(theta)
-    if c == t:
-        _not_distinct("crz", (c, t))
-    if not math.isfinite(theta):
-        _not_finite("crz", theta)
-    return _new(Gate, ("crz", (c, t), theta))
-
-
-def cphase(eta, c, t):
-    eta = float(eta)
-    if c == t:
-        _not_distinct("cphase", (c, t))
-    if not math.isfinite(eta):
-        _not_finite("cphase", eta)
-    return _new(Gate, ("cphase", (c, t), eta))
-
-
-def toffoli(c1, c2, t):
-    if c1 == c2 or c1 == t or c2 == t:
-        _not_distinct("toffoli", (c1, c2, t))
-    return _new(Gate, ("toffoli", (c1, c2, t), None))
-
-
-def gamma(theta, a, b):
-    """Two-qubit excitation-cascade gate: CRy(theta; b->a) followed by CNOT(a->b)."""
-    theta = float(theta)
-    if a == b:
-        _not_distinct("gamma", (a, b))
-    if not math.isfinite(theta):
-        _not_finite("gamma", theta)
-    return _new(Gate, ("gamma", (a, b), theta))
-
-
-def cgamma(theta, c, a, b):
-    theta = float(theta)
-    if c == a or c == b or a == b:
-        _not_distinct("cgamma", (c, a, b))
-    if not math.isfinite(theta):
-        _not_finite("cgamma", theta)
-    return _new(Gate, ("cgamma", (c, a, b), theta))
+# The constructors, each bound by its kind's name.
+x, h, s, sdg, ry, rz, phase = map(_constructor, ["x", "h", "s", "sdg", "ry", "rz", "phase"])
+cnot, cz, cry, crz, cphase, toffoli, gamma, cgamma = map(
+    _constructor, ["cnot", "cz", "cry", "crz", "cphase", "toffoli", "gamma", "cgamma"])
 
 
 _INT = {int}
@@ -345,26 +298,6 @@ def _first_out_of_range(gates: tuple[Gate, ...], width: int) -> Gate | None:
         if min(g.qubits) < 0 or max(g.qubits) >= width:
             return g
     return None
-
-
-def _per_distinct_gate(fn: Callable[[Gate], object]) -> Callable[[Gate], object]:
-    """fn, called once per distinct gate; a repeat gets the first call's result.
-
-    Equal gates can print differently (0.0 == -0.0 and 1 == 1.0), so the key
-    adds the angle's type and its sign, which tells 0.0 from -0.0.
-    """
-    memo: dict = {}
-    copysign = math.copysign
-
-    def once(g: Gate):
-        a = g.angle
-        key = g if a is None else (g, type(a), copysign(1.0, a))
-        r = memo.get(key, memo)
-        if r is memo:
-            r = memo[key] = fn(g)
-        return r
-
-    return once
 
 
 @dataclass(frozen=True)
@@ -401,8 +334,8 @@ class Circuit:
 
     def to_json(self) -> str:
         """{"width", "layout": {name: [start, size]}, "gates": [{"kind",
-        "qubits", "angle"?}]}, with json.dumps' separators; each distinct
-        gate is formatted once (_formatter)."""
+        "qubits", "angle"?}]}, with json.dumps' separators, formatted
+        through _formatter."""
         text = _formatter(None, _itself)
         return _json_text(self, (text(g)[1] for g in self.gates))
 
@@ -586,17 +519,8 @@ def _lower_gate(g: Gate) -> list[Gate]:
 
 
 def lower(c: Circuit) -> Circuit:
-    """Rewrite onto the one/two-qubit target set {x,h,s,sdg,ry,rz,phase,cnot,cz}.
-
-    Every lowering puts its gates on the operands of the gate it rewrites,
-    which c has checked, so the result skips Circuit's qubit checks.
-    """
-    out = object.__new__(Circuit)
-    for name, value in (("width", c.width), ("layout", c.layout),
-                        ("gates", tuple(chain.from_iterable(
-                            map(_per_distinct_gate(_lower_gate), c.gates))))):
-        object.__setattr__(out, name, value)
-    return out
+    """Rewrite onto the one/two-qubit target set {x,h,s,sdg,ry,rz,phase,cnot,cz}."""
+    return Circuit(c.width, tuple(chain.from_iterable(map(_lower_gate, c.gates))), c.layout)
 
 
 def _placeholder(kind: str, angle) -> Gate:
@@ -750,10 +674,6 @@ def _skeleton(shape) -> tuple[str | None, str]:
     return None if None in lines else "\n".join(lines), ", ".join(objs)
 
 
-def _itself(g: Gate) -> list[Gate]:
-    return [g]
-
-
 def _lowered_adjoint(g: Gate) -> list[Gate]:
     """The lowering of g's adjoint, the transpose of a gate of a kind not in
     SELF_TRANSPOSE_KINDS (transpose_gates)."""
@@ -793,16 +713,19 @@ def _formatter(ref: list[str] | None, rule: Callable[[Gate], list[Gate]]
 
     Every exporter formats through it. The templates are made once per
     distinct (kind, angle), by the rule run on a placeholder gate, which is
-    built only then; each distinct gate then costs one str.format per text,
-    with its operands' names: ref[q] in QASM, q in JSON. Without ref the QASM
-    is None (to_json of any circuit).
+    built only then; each gate then costs one str.format per text, with its
+    operands' names: ref[q] in QASM, q in JSON. Without ref the QASM is None
+    (to_json of any circuit).
+
+    Equal angles can print differently (0.0 == -0.0 and 1 == 1.0), so a
+    template's key holds the angle's type and its sign, which tells 0.0 from
+    -0.0, as well as the angle.
     """
     templates: dict = {}
     copysign = math.copysign
 
-    @_per_distinct_gate
     def text(g: Gate) -> tuple[str | None, str]:
-        kind, _, a = g  # the template key is _per_distinct_gate's without the operands
+        kind, _, a = g
         key = (kind, a) if a is None else (kind, a, type(a), copysign(1.0, a))
         qasm, objs = templates.get(key) or templates.setdefault(
             key, _templates(_skeletons(rule, kind), rule(_placeholder(kind, a))))
@@ -874,6 +797,8 @@ def parse_qasm(text: str) -> Circuit:
             m = re.match(r"^qreg\s+(\w+)\[(\d+)\];$", line)
             if not m:
                 raise ValueError(f"bad qreg line {line!r}")
+            if m.group(1) in regs:
+                raise ValueError(f"repeated qreg {m.group(1)!r}")
             regs[m.group(1)] = (width, int(m.group(2)))
             width += int(m.group(2))
             continue

@@ -124,7 +124,11 @@ class SpinGlassParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpinGlassParams":
+        """A key other than n, g and J is an error."""
         n = json_int(d["n"], "n")
+        unknown = sorted(set(d) - {"n", "g", "J"})
+        if unknown:
+            raise ValueError(f"unknown spin-glass spec keys {unknown}")
         g = np.asarray(d["g"], dtype=float)
         J = _zero_couplings(n)
         for a in range(3):

@@ -112,11 +112,21 @@ class PauliSum:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliSum":
+        """to_dict's form: a key other than n and terms, a term key other than
+        coeff and ops, or a coeff that is not a [re, im] pair is an error."""
         n = json_int(d["n"], "n")
-        terms = [
-            PauliTerm(complex(t["coeff"][0], t["coeff"][1]), str(t["ops"])[::-1])
-            for t in d["terms"]
-        ]
+        unknown = sorted(set(d) - {"n", "terms"})
+        if unknown:
+            raise ValueError(f"unknown Pauli-sum spec keys {unknown}")
+        terms = []
+        for t in d["terms"]:
+            unknown = sorted(set(t) - {"coeff", "ops"})
+            if unknown:
+                raise ValueError(f"unknown Pauli-sum term keys {unknown}")
+            coeff = t["coeff"]
+            if len(coeff) != 2:  # a TypeError, like json_int's: the spec is malformed
+                raise TypeError(f"coeff must be a [re, im] pair, got {coeff!r}")
+            terms.append(PauliTerm(complex(coeff[0], coeff[1]), str(t["ops"])[::-1]))
         return cls(n, terms)
 
     @classmethod

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from foqcs import circuit
 from foqcs.circuit import (
     DIAGONAL_KINDS,
     KINDS,
@@ -290,6 +291,16 @@ def test_gate_angle_must_be_finite_number():
             parse_qasm(qasm.format(bad))
 
 
+def test_parse_qasm_rejects_a_repeated_qreg():
+    # Once the second q[3] became qubits 2..4 under the name q, layout
+    # {"q": (2, 3)}, and x q[2] landed on qubit 4.
+    head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+    with pytest.raises(ValueError, match="repeated qreg 'q'"):
+        parse_qasm(head + "qreg q[2];\nqreg q[3];\nx q[2];\n")
+    c = parse_qasm(head + "qreg q[2];\nqreg r[3];\nx r[2];\n")
+    assert (c.width, c.layout, c.gates) == (5, {"q": (0, 2), "r": (2, 3)}, (x(4),))
+
+
 @pytest.mark.parametrize("bad, text", [
     (cnot(-1, 2), "gate cnot(-1, 2) out of range for width 3"),
     (cnot(0, 3), "gate cnot(0, 3) out of range for width 3"),
@@ -381,11 +392,9 @@ def test_qasm_row_is_set_for_exactly_the_lowered_kinds(g):
     assert parse_qasm(export_qasm(c)).gates == c.gates
 
 
-# kind -> its constructor; the reference below is each constructor's body
-# before it built its tuple directly: Gate(kind, operands, float(angle)).
-CONSTRUCTORS = {"x": x, "h": h, "s": s, "sdg": sdg, "ry": ry, "rz": rz, "phase": phase,
-                "cnot": cnot, "cz": cz, "cry": cry, "crz": crz, "cphase": cphase,
-                "toffoli": toffoli, "gamma": gamma, "cgamma": cgamma}
+# Each kind's constructor is foqcs.circuit.<kind>; the reference below is each
+# constructor's body before it built its tuple directly:
+# Gate(kind, operands, float(angle)).
 ANY_ANGLE = st.one_of(
     st.floats(),  # NaN and +-inf included
     st.sampled_from([float("nan"), float("inf"), -float("inf"), None, "0.5", "nan", "x",
@@ -402,7 +411,10 @@ def _outcome(build, *args):
 
 
 def test_every_kind_has_a_constructor():
-    assert set(CONSTRUCTORS) == set(KINDS)
+    # A row without its public constructor, or a name bound to another
+    # kind's, fails here.
+    for kind in KINDS:
+        assert getattr(circuit, kind).__name__ == kind
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -417,7 +429,7 @@ def test_constructor_matches_the_generic_gate(kind, data):
         ops = tuple(data.draw(st.lists(st.integers(0, 2), min_size=row.arity,
                                        max_size=row.arity)))
         angle = data.draw(ANY_ANGLE) if row.angled else None
-    got = _outcome(CONSTRUCTORS[kind], *((angle, *ops) if row.angled else ops))
+    got = _outcome(getattr(circuit, kind), *((angle, *ops) if row.angled else ops))
     want = _outcome(lambda: Gate(kind, ops, float(angle)) if row.angled else Gate(kind, ops))
     assert got == want
     if isinstance(want, Gate):
@@ -490,8 +502,9 @@ def test_permutation_rows_hold_at_every_angle():
 
 
 def test_every_lowering_keeps_to_the_operands_of_its_gate():
-    # lower skips Circuit's qubit checks on its output because of this: every
-    # lowering, cgamma's included, emits only int qubits from its gate's operands.
+    # The exporters format a lowering through its gate's operand slots
+    # (_shape), so every lowering, cgamma's included, must emit only int
+    # qubits from its gate's operands.
     rng = np.random.default_rng(16)
     for kind, row in KINDS.items():
         for _ in range(4):

@@ -646,10 +646,12 @@ def test_dicke_kinds_resolve_through_one_table(capsys):
 @pytest.mark.parametrize("model, spec", [
     ("generic", {"n": 2, "terms": [{"coeff": ["0.5", 0], "ops": "XZ"}]}),
     ("generic", {"n": 2, "terms": [{"coeff": [0.5], "ops": "XZ"}]}),
+    ("generic", {"n": 2, "terms": [{"coeff": [1, 0, 7], "ops": "XZ"}]}),
     ("spin-glass", {"n": 2, "g": [[0.5, -0.25], [0.3, 0.4], [0.1, 0.9]], "J": 5}),
     ("heisenberg", [2, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]),
     ("dicke", ["d1", 3]),
-], ids=["string-coeff", "short-coeff", "scalar-J", "list-spec", "dicke-list-spec"])
+], ids=["string-coeff", "short-coeff", "long-coeff", "scalar-J", "list-spec",
+        "dicke-list-spec"])
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, model, spec):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))
@@ -837,17 +839,25 @@ def test_seed_excludes_explicit_couplings(tmp_path, monkeypatch, capsys, argv, n
     assert main(["verify", "heisenberg", "--n", "2", "--gx", "1"]) == 0
 
 
-@pytest.mark.parametrize("model, spec, key", [
-    ("heisenberg", {"n": 2, "gx": 1, "jzz": 1}, "jzz"),
-    ("dicke", {"kind": "d1u", "n": 2, "alpha": [[1, 0], [0, 1]]}, "alpha"),
-])
-def test_spec_key_the_model_does_not_read_is_an_input_error(tmp_path, capsys, model, spec, key):
+@pytest.mark.parametrize("model, spec, text", [
+    ("heisenberg", {"n": 2, "gx": 1, "jzz": 1}, "unknown heisenberg spec keys ['jzz']"),
+    ("dicke", {"kind": "d1u", "n": 2, "alpha": [[1, 0], [0, 1]]},
+     "unknown dicke spec keys ['alpha']"),
+    ("spin-glass", {"n": 2, "g": [[0.5, -0.25], [0.3, 0.4], [0.1, 0.9]],
+                    "J": [[[0.7]], [[-0.2]], [[0.6]]], "seed": 3},
+     "unknown spin-glass spec keys ['seed']"),
+    ("generic", {"n": 2, "terms": [{"coeff": [0.5, 0], "ops": "XZ"}], "bogus": 1},
+     "unknown Pauli-sum spec keys ['bogus']"),
+    ("generic", {"n": 2, "terms": [{"coeff": [0.5, 0], "ops": "XZ", "bogus": 1}]},
+     "unknown Pauli-sum term keys ['bogus']"),
+], ids=["heisenberg", "dicke", "spin-glass", "generic", "generic-term"])
+def test_spec_key_the_model_does_not_read_is_an_input_error(tmp_path, capsys, model, spec, text):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))
     assert main(["verify", model, "--spec", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unknown {model} spec keys ['{key}']" in captured.err
+    assert text in captured.err
 
 
 HUGE = 10 ** 399  # 400 digits: a JSON integer that no float can hold

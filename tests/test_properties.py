@@ -209,11 +209,10 @@ def _distinct(values) -> int:
     return len(set(map(repr, values)))
 
 
-def test_each_exporter_formats_each_distinct_gate_once(monkeypatch):
-    # SELECT: 14 gates, 10 distinct, of 6 distinct (kind, angle): h, cnot, rz
-    # 0.0, -0.0 and int 0, and cry 0.5. PR: ry 0.3 twice, a diagonal rz, a
-    # gamma, and a toffoli twice, an h and a cnot, which are their own
-    # transposes.
+def test_each_exporter_makes_one_template_per_distinct_kind_and_angle(monkeypatch):
+    # SELECT: 14 gates of 6 distinct (kind, angle): h, cnot, rz 0.0, -0.0 and
+    # int 0, and cry 0.5. PR: ry 0.3 twice, a diagonal rz, a gamma, and a
+    # toffoli twice, an h and a cnot, which are their own transposes.
     built = [circuit.h(2), circuit.h(2), circuit.h(3), circuit.cnot(2, 3), circuit.cnot(2, 3),
              circuit.cnot(0, 3), circuit.rz(0.0, 3), circuit.rz(-0.0, 3), Gate("rz", (3,), 0),
              circuit.rz(0.0, 3), circuit.rz(0.0, 2), circuit.cry(0.5, 0, 2),
@@ -221,56 +220,53 @@ def test_each_exporter_formats_each_distinct_gate_once(monkeypatch):
     prep = (circuit.ry(0.3, 0), circuit.ry(0.3, 0), circuit.rz(0.1, 1), circuit.gamma(0.2, 0, 1),
             circuit.toffoli(0, 1, 2), circuit.h(1), circuit.cnot(1, 2), circuit.toffoli(0, 1, 2))
     be = BlockEncoding(Circuit(5, tuple(built), {"anc": (0, 3), "system": (3, 2)}), 1.0, prep)
-    per_distinct_gate, templates = circuit._per_distinct_gate, circuit._templates
-    # Per gate memo, in the order made: [templates made, gates formatted]. A
-    # template is made inside the memo's call for the gate that needs it, so
-    # it counts to the memo whose call is running.
-    calls, running = [], []
+    formatter, templates = circuit._formatter, circuit._templates
+    # Templates made per formatter, in the order the formatters are built. A
+    # template is made inside a text call, so it counts to the formatter whose
+    # call is running.
+    made, running = [], []
 
-    def counting(fn):
-        i = len(calls)
-        calls.append([0, 0])
+    def counting_formatter(ref, rule):
+        i = len(made)
+        made.append(0)
+        text = formatter(ref, rule)
 
         def counted(g):
-            calls[i][1] += 1
             running.append(i)
             try:
-                return fn(g)
+                return text(g)
             finally:
                 running.pop()
 
-        return per_distinct_gate(counted)
+        return counted
 
     def counting_templates(*args):
-        calls[running[-1]][0] += 1
+        made[running[-1]] += 1
         return templates(*args)
 
-    def calls_of(export) -> list[list[int]]:
-        calls.clear()
+    def made_by(export) -> list[int]:
+        made.clear()
         export()
-        return calls[:]
+        return made[:]
 
-    def once_each(gates) -> list[int]:
-        # one template per distinct (kind, angle), one text per distinct gate
-        return [_distinct((g.kind, g.angle) for g in gates), _distinct(gates)]
+    def kinds_and_angles(gates) -> int:
+        return _distinct((g.kind, g.angle) for g in gates)
 
-    monkeypatch.setattr(circuit, "_per_distinct_gate", counting)
+    monkeypatch.setattr(circuit, "_formatter", counting_formatter)
     monkeypatch.setattr(circuit, "_templates", counting_templates)
     # export_lowered formats PR and SELECT lowered, and the two distinct PR
     # gates outside SELF_TRANSPOSE_KINDS (ry 0.3 and the gamma) as lowered
     # adjoints; the rz, toffoli, h and cnot are their own transposes and reuse
     # their text.
-    fwd = be.prep + be.select.gates
-    assert once_each(fwd) == [10, 16]
+    assert kinds_and_angles(be.prep + be.select.gates) == 10
     outside = [g for g in prep if g.kind not in circuit.SELF_TRANSPOSE_KINDS]
-    assert once_each(outside) == [2, 2]
-    assert calls_of(lambda: list(export_lowered(be))) == [[10, 16], [2, 2]]
-    flat = be.circuit.gates
-    assert calls_of(lambda: lower(be.circuit)) == [[0, _distinct(flat)]] == [[0, 23]]
+    assert kinds_and_angles(outside) == 2
+    assert made_by(lambda: list(export_lowered(be))) == [10, 2]
+    assert made_by(lambda: lower(be.circuit)) == []  # lower formats nothing
     low = lower(be.circuit)
-    assert calls_of(lambda: export_qasm(low)) == [once_each(low.gates)]
-    assert calls_of(low.to_json) == [once_each(low.gates)]
-    assert calls_of(be.select.to_json) == [[6, 10]]
+    assert made_by(lambda: export_qasm(low)) == [kinds_and_angles(low.gates)]
+    assert made_by(low.to_json) == [kinds_and_angles(low.gates)]
+    assert made_by(be.select.to_json) == [6]
 
 
 @PROPERTY_SETTINGS
