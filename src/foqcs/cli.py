@@ -19,7 +19,7 @@ from . import report as report_mod
 from .circuit import export_lowered
 from .dicke import DICKE_KINDS, AmplitudeList, dicke_kind, dicke_state_map
 from .encoder import generic_foqcs, heisenberg_encoding, spin_glass_encoding
-from .errors import DomainError, ResourceGuardError, check_entries, json_int
+from .errors import DomainError, ResourceGuardError, check_entries, json_int, json_real
 from .models import (
     HEISENBERG_FIELDS,
     HeisenbergParams,
@@ -138,8 +138,8 @@ def _dicke(args) -> tuple:
     if unbalanced:
         if alphas is None:
             raise DomainError(f"{kind} needs alphas")
-        a = AmplitudeList(_from_json("alphas", lambda v: [complex(re, im) for re, im in v],
-                                     alphas))
+        a = AmplitudeList(_from_json("alphas", lambda v: [
+            complex(json_real(re, "alpha"), json_real(im, "alpha")) for re, im in v], alphas))
     return spec.build(n, k, a), dicke_state_map(base, n, k, a)
 
 

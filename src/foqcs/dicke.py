@@ -264,10 +264,13 @@ def dicke_state_map(kind: str, n: int, k: int | None = None,
     """Sparse amplitude map of the target state for each builder kind."""
     spec = dicke_kind(kind, k)
     m = n - k if spec.needs_k else n
+    return {spec.index(n, k, l): complex(amp) for l, amp in enumerate(_component_amps(m, a))}
+
+
+def _component_amps(m: int, a: AmplitudeList | None) -> list:
+    """The amplitudes of a state map's m components: a's, balanced when None."""
     if a is None:
-        amps = [1.0 / math.sqrt(m)] * m
-    else:
-        if len(a) != m:
-            raise DomainError(f"need {m} amplitudes, got {len(a)}")
-        amps = list(a.alphas)
-    return {spec.index(n, k, l): complex(amp) for l, amp in enumerate(amps)}
+        return [1.0 / math.sqrt(m)] * m
+    if len(a) != m:
+        raise DomainError(f"need {m} amplitudes, got {len(a)}")
+    return list(a.alphas)

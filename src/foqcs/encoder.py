@@ -8,6 +8,11 @@ is one layer of CNOTs (x ancilla l -> system l) followed by one layer of CZs
 ancillae. PL is conj(PR), which prepares their complex conjugates, so
 conj(conj(v_a)) v_a = v_a^2 reproduces each coefficient exactly regardless of
 square-root branch; each encoder builds PR alone.
+
+The two-body subroutines follow one rule for every mixed kind: component l
+of kind ab at separation k is the check pattern (pauli.CHECK_PAIRS) of a on
+site l and b on site l + k over the x and z registers, and both the circuit
+and the target state are read off those qubits (_twobody_qubits).
 """
 from __future__ import annotations
 
@@ -36,10 +41,9 @@ from .circuit import (
 from .dicke import AmplitudeList, balanced_thetas, unbalanced_angles
 from .errors import DomainError
 from .models import HeisenbergParams, SpinGlassParams
-from .pauli import PauliSum, check_decompose, one_norm
+from .pauli import CHECK_PAIRS, PauliSum, check_decompose, one_norm
 
 _ZERO_DIAG_TOL = 1e-14
-_PHASE_TOL = 1e-14
 
 
 def select_gates(x_base: int, z_base: int, sys_base: int, n: int) -> list[Gate]:
@@ -264,7 +268,7 @@ def _spin_glass_pr_gates(p: SpinGlassParams, x_base: int, z_base: int) -> list[G
         base = z_base if a == 2 else x_base
         wire = _sg_wire(n, a, k)
         for l, eta in enumerate(ang.etas):
-            if abs(eta) > _PHASE_TOL:
+            if abs(eta) > dicke.PHASE_TOL:
                 gates.append(cphase(eta, wire, base + k + l))
 
     # Two controlled ladders per separation k (x side shared by x and y).
@@ -316,66 +320,43 @@ def spin_glass_encoding(p: SpinGlassParams) -> BlockEncoding:
 TWOBODY_KINDS = ("xy", "yx", "xz", "zx", "yz", "zy")
 
 
-def twobody_subroutine(kind: str, n: int, k: int,
-                       a: AmplitudeList | None = None) -> Circuit:
-    """Prepare the check-register state of a k-separated two-body Pauli family.
-
-    Width 2n with x = qubits [0, n) and z = [n, 2n); component l carries
-    amplitude a.alphas[l] (uniform when a is None).
-    """
+def _twobody_qubits(kind: str, n: int, k: int) -> list[list[int]]:
+    """Per component l, in ascending order, the qubits that the check pattern
+    of kind[0] on site l and kind[1] on site l + k sets: each factor's
+    CHECK_PAIRS x bit on x = [0, n) and its z bit on z = [n, 2n)."""
     kind = kind.lower()
     if kind not in TWOBODY_KINDS:
         raise DomainError(f"unknown two-body kind {kind!r}")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must be in [1, {n - 1}], got {k}")
-    m = n - k
-    if a is not None and len(a) != m:
-        raise DomainError(f"need {m} amplitudes, got {len(a)}")
-    xq = list(range(n))
-    zq = list(range(n, 2 * n))
-    gates: list[Gate]
-    if kind == "xy":
-        gates = dicke._body_gates(m, xq[k:], a)
-        gates += [cnot(xq[k + i], zq[k + i]) for i in range(m)]
-        gates += [cnot(xq[i + k], xq[i]) for i in range(m)]
-    elif kind == "yx":
-        gates = dicke._body_gates(m, xq[:m], a)
-        gates += [cnot(xq[i], zq[i]) for i in range(m)]
-        gates += [cnot(xq[i], xq[i + k]) for i in reversed(range(m))]
-    elif kind == "xz":
-        gates = dicke._body_gates(m, xq[:m], a)
-        gates += [cnot(xq[i], zq[i + k]) for i in range(m)]
-    elif kind == "zx":
-        gates = dicke._body_gates(m, zq[:m], a)
-        gates += [cnot(zq[i], xq[i + k]) for i in range(m)]
-    elif kind == "zy":
-        gates = dicke._body_gates(m, zq[k:], a)
-        gates += [cnot(zq[k + i], xq[k + i]) for i in range(m)]
-        gates += [cnot(zq[i + k], zq[i]) for i in range(m)]
-    else:  # yz
-        gates = dicke._body_gates(m, zq[:m], a)
-        gates += [cnot(zq[i], xq[i]) for i in range(m)]
-        gates += [cnot(zq[i], zq[i + k]) for i in reversed(range(m))]
+    pairs = [CHECK_PAIRS[p] for p in kind.upper()]
+    return [sorted(q for (xb, zb), site in zip(pairs, (l, l + k))
+                   for q, bit in ((site, xb), (n + site, zb)) if bit)
+            for l in range(n - k)]
+
+
+def twobody_subroutine(kind: str, n: int, k: int,
+                       a: AmplitudeList | None = None) -> Circuit:
+    """Prepare the check-register state of a k-separated two-body Pauli family.
+
+    Width 2n with x = qubits [0, n) and z = [n, 2n); component l carries
+    amplitude a.alphas[l] (uniform when a is None) on the qubits of
+    _twobody_qubits. The W state goes on each component's lowest qubit, which
+    is on x since every mixed kind has an x bit; CNOTs copy it onto the
+    component's qubits on z, then onto those on x from the top component
+    down, so no copy reads a qubit another copy has written.
+    """
+    comps = _twobody_qubits(kind, n, k)
+    gates = dicke._body_gates(len(comps), [qs[0] for qs in comps], a)
+    gates += [cnot(qs[0], q) for qs in comps for q in qs[1:] if q >= n]
+    gates += [cnot(qs[0], q) for qs in reversed(comps) for q in qs[1:] if q < n]
     return _pr(_assemble(0, n, gates, 1.0))
 
 
 def twobody_state_map(kind: str, n: int, k: int,
                       a: AmplitudeList | None = None) -> dict[int, complex]:
-    """Closed-form target state of twobody_subroutine."""
-    kind = kind.lower()
-    m = n - k
-    amps = [1.0 / math.sqrt(m)] * m if a is None else list(a.alphas)
-    pair = lambda l: (1 << l) | (1 << (l + k))
-    one_lo = lambda l: 1 << l
-    one_hi = lambda l: 1 << (l + k)
-    patterns = {
-        "xy": lambda l: pair(l) | (one_hi(l) << n),
-        "yx": lambda l: pair(l) | (one_lo(l) << n),
-        "xz": lambda l: one_lo(l) | (one_hi(l) << n),
-        "zx": lambda l: one_hi(l) | (one_lo(l) << n),
-        "yz": lambda l: one_lo(l) | (pair(l) << n),
-        "zy": lambda l: one_hi(l) | (pair(l) << n),
-    }
-    if kind not in patterns:
-        raise DomainError(f"unknown two-body kind {kind!r}")
-    return {patterns[kind](l): complex(amps[l]) for l in range(m)}
+    """Closed-form target state of twobody_subroutine: component l is the
+    basis index with the bits of _twobody_qubits(kind, n, k)[l] set."""
+    comps = _twobody_qubits(kind, n, k)
+    amps = dicke._component_amps(len(comps), a)
+    return {sum(1 << q for q in qs): complex(amp) for qs, amp in zip(comps, amps)}

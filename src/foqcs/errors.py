@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the rule for a JSON integer.
+"""Exceptions shared across the package, and the rules for a JSON integer and a
+JSON real number.
 
 The CLI maps these onto its exit codes: DomainError -> 2, ResourceGuardError -> 3.
 Parse/IO failures stay ordinary ValueError/KeyError/json errors (exit 1).
@@ -29,4 +30,14 @@ def json_int(v, what: str, error: type[Exception] = TypeError) -> int:
     TypeError for the spec readers (exit 1), a DomainError for Circuit.from_dict."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise error(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def json_real(v, what: str, error: type[Exception] = TypeError):
+    """v, which must be an int or a float (not a bool), as read from JSON; else
+    error: a TypeError for the spec readers (exit 1), a DomainError for the
+    Heisenberg couplings. numpy would parse a string and complex() reads a
+    bool as 0 or 1, so a reader checks each number here before either sees it."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise error(f"{what} must be a number, got {v!r}")
     return v

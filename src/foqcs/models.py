@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_entries, json_int
+from .errors import DomainError, check_entries, json_int, json_real
 from .pauli import PauliSum, PauliTerm
 
 AXES = ("x", "y", "z")
@@ -64,7 +64,7 @@ class HeisenbergParams:
         unknown = sorted(set(d) - {"n", *HEISENBERG_FIELDS})
         if unknown:
             raise ValueError(f"unknown heisenberg spec keys {unknown}")
-        return cls(n, *(d.get(f, 0.0) for f in HEISENBERG_FIELDS))
+        return cls(n, *(json_real(d.get(f, 0.0), f, DomainError) for f in HEISENBERG_FIELDS))
 
 
 def heisenberg_hamiltonian(p: HeisenbergParams) -> PauliSum:
@@ -124,21 +124,23 @@ class SpinGlassParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpinGlassParams":
-        """A key other than n, g and J is an error."""
+        """A key other than n, g and J, or a J without exactly three axes, is an
+        error."""
         n = json_int(d["n"], "n")
         unknown = sorted(set(d) - {"n", "g", "J"})
         if unknown:
             raise ValueError(f"unknown spin-glass spec keys {unknown}")
-        g = np.asarray(d["g"], dtype=float)
+        g = np.asarray(_reals(d["g"], "g entry"), dtype=float)
         J = _zero_couplings(n)
-        for a in range(3):
-            rows = d["J"][a]
+        if len(d["J"]) != 3:
+            raise DomainError(f"J needs 3 axes, got {len(d['J'])}")
+        for a, rows in enumerate(d["J"]):
             if len(rows) != n - 1:
                 raise DomainError(f"J axis {AXES[a]} needs {n - 1} upper-tri rows")
             for l, row in enumerate(rows):
                 if len(row) != n - 1 - l:
                     raise DomainError(f"J row {l} must have {n - 1 - l} entries")
-                J[a, l, l + 1 :] = row
+                J[a, l, l + 1 :] = _reals(row, "J entry")
         return cls(n, g, J)
 
 
@@ -169,6 +171,21 @@ def random_spin_glass(n: int, rng: np.random.Generator) -> SpinGlassParams:
     rows, cols = np.triu_indices(n, 1)
     J[:, rows, cols] = _draw(rng, 3 * rows.size).reshape(3, rows.size)
     return SpinGlassParams(n, g, J)
+
+
+def _reals(v, what: str):
+    """Nested JSON lists v, unchanged once each leaf passes json_real: their
+    shape is left to numpy and the shape checks. The walk keeps its own stack,
+    so a nesting deeper than Python's recursion limit reaches numpy's
+    dimension check, an input error."""
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, list):
+            todo.extend(reversed(u))
+        else:
+            json_real(u, what)
+    return v
 
 
 def _zero_couplings(n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_entries, json_int
+from .errors import DomainError, check_entries, json_int, json_real
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -126,7 +126,8 @@ class PauliSum:
             coeff = t["coeff"]
             if len(coeff) != 2:  # a TypeError, like json_int's: the spec is malformed
                 raise TypeError(f"coeff must be a [re, im] pair, got {coeff!r}")
-            terms.append(PauliTerm(complex(coeff[0], coeff[1]), str(t["ops"])[::-1]))
+            re, im = (json_real(v, "coeff") for v in coeff)
+            terms.append(PauliTerm(complex(re, im), str(t["ops"])[::-1]))
         return cls(n, terms)
 
     @classmethod

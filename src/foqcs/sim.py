@@ -6,7 +6,9 @@ its exact unitary, so circuits need not be lowered before simulation. One
 kernel, _apply_unitary, applies it in place; only the sparse driver moves the
 kinds of circuit.PERMUTATION_ROWS itself (below). Both read circuit.KINDS,
 the unitaries through gate_unitary; this module keeps no per-kind rule of its
-own. The kernel reads the sparsity of the unitary:
+own. The kernel views the amplitudes with one length-2 axis per qubit, qubit
+q on axis width - 1 - q and any batch folded into a last axis, and indexes
+the gate's operands on those axes. It reads the sparsity of the unitary:
 it skips rows equal to the identity's, scales a diagonal-only row in place,
 multiplies by no coefficient equal to 1, and copies a slice only when a later
 row reads it after it has been overwritten. A CNOT is then one slice copy and
@@ -79,27 +81,6 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def _bit_view(amps: np.ndarray, width: int, qubits: tuple[int, ...]) -> tuple:
-    """Reshape (2^w, ...) amplitudes so each qubit in `qubits` gets its own
-    length-2 axis (views only, no copies).
-
-    Returns (view, axis_of_qubit) where axis_of_qubit[q] indexes the axis of
-    qubit q in the view; trailing batch dimensions are folded into the last
-    axis.
-    """
-    qd = sorted(qubits, reverse=True)
-    shape = []
-    prev = width
-    axes = {}
-    for q in qd:
-        shape.append(1 << (prev - 1 - q))
-        axes[q] = len(shape)
-        shape.append(2)
-        prev = q
-    shape.append(-1)
-    return amps.reshape(shape), axes
-
-
 def gate_unitary(g: Gate) -> np.ndarray:
     """Exact unitary of any gate kind, on the local basis of g.qubits, read
     from the kind's row in circuit.KINDS.
@@ -128,14 +109,14 @@ def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
             work.append((r, terms))
     if not work:
         return
-    v, axes = _bit_view(amps, width, qubits)
+    v = amps.reshape((2,) * width + (-1,))  # qubit q on axis width - 1 - q
     idx = [slice(None)] * v.ndim
     views = {}
 
     def view(p):
         if p not in views:
             for i, q in enumerate(qubits):
-                idx[axes[q]] = (p >> i) & 1
+                idx[width - 1 - q] = (p >> i) & 1
             views[p] = v[tuple(idx)]
         return views[p]
 

@@ -633,6 +633,32 @@ def test_non_finite_or_string_couplings(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, spec, code", [
+    (["verify", "heisenberg"], {"n": 3, "jx": True}, 2),
+    (["verify", "spin-glass"], {"n": 2, "g": [["0.1", 0.2], [0.3, 0.4], [0.5, 0.6]],
+                                "J": [[[0.7]], [[-0.2]], [[0.6]]]}, 1),
+    (["verify", "generic"], {"n": 1, "terms": [{"coeff": [True, 0], "ops": "X"}]}, 1),
+    (["verify", "dicke", "--kind", "d1u", "--n", "2", "--alphas", "[[true,0],[0,1]]"], None, 1),
+], ids=["heisenberg-bool", "spin-glass-string", "generic-bool", "dicke-bool"])
+def test_a_json_bool_or_string_is_not_a_number(tmp_path, capsys, argv, spec, code):
+    if spec is not None:
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        argv = argv + ["--spec", str(f)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a number" in err
+
+
+def test_spin_glass_J_needs_three_axes(tmp_path, capsys):
+    f = tmp_path / "sg.json"
+    f.write_text('{"n": 2, "g": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],'
+                 ' "J": [[[0.7]], [[-0.2]], [[0.6]], [[9.0]]]}')
+    assert main(["verify", "spin-glass", "--spec", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "J needs 3 axes, got 4" in err
+
+
 def test_dicke_kinds_resolve_through_one_table(capsys):
     assert main(["verify", "dicke", "--kind", "d2k", "--n", "5"]) == 2
     assert "needs k" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from foqcs.circuit import Circuit, count, lower
 from foqcs.dicke import AmplitudeList
 from foqcs.encoder import (
+    TWOBODY_KINDS,
     _heisenberg_literal,
     _sg_tables,
     _spin_glass_literal,
@@ -27,7 +28,7 @@ from foqcs.models import (
     random_spin_glass,
     spin_glass_hamiltonian,
 )
-from foqcs.pauli import PauliSum, PauliTerm, hamiltonian_matrix, one_norm
+from foqcs.pauli import PauliSum, PauliTerm, check_decompose, hamiltonian_matrix, one_norm
 from foqcs.sim import extract_block, run, simulate
 
 SG_WIRE_OFF = {"x": 1, "z": 2, "y": 3}
@@ -346,6 +347,31 @@ def test_twobody_all_kinds():
         np.testing.assert_allclose(simulate(circ).amps, ref, atol=1e-12)
 
 
+def test_twobody_state_map_matches_check_decompose():
+    # an oracle apart from the encoder's qubit rule: component l of a kind is
+    # the check-matrix index i | j << n of its one-term Pauli string
+    for kind in TWOBODY_KINDS:
+        for n in range(2, 8):
+            for k in range(1, n):
+                keys = list(twobody_state_map(kind, n, k))
+                for l in range(n - k):
+                    ops = ["I"] * n
+                    ops[l], ops[l + k] = kind.upper()
+                    (ct,) = check_decompose(PauliSum(n, [PauliTerm(1.0, "".join(ops))]))
+                    assert keys[l] == ct.i | ct.j << n, (kind, n, k, l)
+
+
+def test_twobody_cnot_count_is_closed_form():
+    # a W state over the n - k components, then one CNOT per further qubit of
+    # a component: two with a Y factor, one for xz and zx
+    for kind in TWOBODY_KINDS:
+        e = 2 if "y" in kind else 1
+        for n in range(2, 16):
+            for k in range(1, n):
+                cr = count(twobody_subroutine(kind, n, k))
+                assert cr.cnot_equivalent == (2 + e) * (n - k) - 2, (kind, n, k)
+
+
 def test_twobody_validation():
     with pytest.raises(DomainError):
         twobody_subroutine("xx", 4, 1)
@@ -353,6 +379,9 @@ def test_twobody_validation():
         twobody_subroutine("xy", 4, 4)
     with pytest.raises(DomainError):
         twobody_subroutine("xy", 4, 1, AmplitudeList([1.0]))
+    for alphas in ([1.0], [1.0] * 4):  # three components at n = 4, k = 1
+        with pytest.raises(DomainError, match="need 3 amplitudes"):
+            twobody_state_map("xy", 4, 1, AmplitudeList(alphas))
 
 
 def test_lowered_encodings_still_encode():
